@@ -7,10 +7,16 @@ reported ratio is insensitive to slow host drift.  Weights are untrained;
 latency does not depend on their values.
 """
 
-import argparse
+import os
 
-from hashta.bench import format_record, run_comparison
-from hashta.model import ModelConfig
+# BLAS reads these once, when numpy first loads it
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+
+from hashta.bench import format_record, run_comparison  # noqa: E402
+from hashta.model import ModelConfig  # noqa: E402
 
 
 def main(argv=None) -> int:

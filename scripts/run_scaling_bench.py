@@ -10,11 +10,17 @@ stage should grow roughly linearly in the window — and the spread of the
 attention stage, which should stay flat for a fixed retrieval size.
 """
 
-import argparse
-from pathlib import Path
+import os
 
-from hashta.bench import format_record, run_scaling, write_report_csv, write_report_json
-from hashta.model import ModelConfig
+# BLAS reads these once, when numpy first loads it
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+from hashta.bench import format_record, run_scaling, write_report_csv, write_report_json  # noqa: E402
+from hashta.model import ModelConfig  # noqa: E402
 
 
 def main(argv=None) -> int:

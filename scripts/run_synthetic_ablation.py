@@ -11,18 +11,24 @@ then times the scoring path of each.  Writes the usual CSV/JSON reports.
 Takes roughly five minutes at the defaults on one desktop core.
 """
 
-import argparse
-from pathlib import Path
+import os
 
-from hashta.bench import format_record, run_ablation, write_report_csv, write_report_json
-from hashta.data import (
+# BLAS reads these once, when numpy first loads it
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+from hashta.bench import format_record, run_ablation, write_report_csv, write_report_json  # noqa: E402
+from hashta.data import (  # noqa: E402
     SyntheticSpec,
     build_category_index,
     build_samples,
     generate_synthetic,
     log_from_events,
 )
-from hashta.model import ModelConfig
+from hashta.model import ModelConfig  # noqa: E402
 
 
 def main(argv=None) -> int:

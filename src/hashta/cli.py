@@ -310,7 +310,16 @@ def _print_records(records) -> None:
         print(B.format_record(rec))
 
 
+def _warn_unpinned_blas() -> None:
+    threads = B.blas_threads()
+    if threads != 1:
+        print(f"warning: blas_threads is {threads}, not 1, so timings are not single-threaded;"
+              " set OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1",
+              file=sys.stderr)
+
+
 def cmd_bench_ablation(args) -> int:
+    _warn_unpinned_blas()
     cp = _read_config(args.config)
     base = _model_config(cp, args)
     n_candidates = _bench_setting(cp, args, "candidates", 128)
@@ -352,6 +361,7 @@ def cmd_bench_ablation(args) -> int:
 
 
 def cmd_bench_scaling(args) -> int:
+    _warn_unpinned_blas()
     cp = _read_config(args.config)
     base = _model_config(cp, args)
     spec = _synthetic_spec(cp, args.seed)

@@ -48,6 +48,7 @@ import numpy as np
 
 from .attention import AttentionInput, MHTAParams, mhta_backward, mhta_with_cache
 from .data import Sample, SECONDS_PER_DAY
+from ._scratch import scratch_buf
 from .errors import FormatError, NumericError
 from .fingerprint import FingerprintTable, HashFamily, fingerprint_batch, new_hash_family, simhash
 from .retrieval import TopKResult, category_hard_search, hamming_top_k_batch, top_k_by_dot, top_k_by_hamming
@@ -739,22 +740,20 @@ def request_from_sample(sample: Sample) -> Request:
 
 
 class RequestState:
-    __slots__ = ("req", "user_vec", "ctx_vec", "st", "lt", "st_kv", "lt_kv", "long_fps", "item_fps")
+    __slots__ = ("user_vec", "ctx_vec", "st", "lt", "lt_kv", "long_fps", "item_fps")
 
 
 def _kv_stacks(emb: np.ndarray, attn: MHTAParams):
-    ks = np.stack([emb @ attn.wk[h] for h in range(attn.n_heads)])
-    vs = np.stack([emb @ attn.wv[h] for h in range(attn.n_heads)])
-    return ks, vs
+    return emb @ attn.wk, emb @ attn.wv  # (n_heads, L, d_head) each
 
 
 def prepare_request(request: Request, params: ModelParams, config: ModelConfig,
                     item_fps: Optional[FingerprintTable] = None) -> RequestState:
     """Per-request work shared by all candidates: embeddings, K/V, key bits.
 
-    The long window is projected to K/V only for FULL_TA; the selecting
-    variants attend over K rows per candidate and apply the projections
-    to those rows inside the attention stage instead."""
+    The long window is projected to K/V only for FULL_TA; the other
+    attending variants fold the projections into the weights instead
+    (see _folded_attention)."""
     _check_id("user_id", request.user_id, config.n_users)
     _check_id("context_bucket", request.context_bucket, config.n_contexts)
     if len(request.short_seq) > config.l_st:
@@ -762,17 +761,17 @@ def prepare_request(request: Request, params: ModelParams, config: ModelConfig,
     if len(request.long_seq) > config.l_lt:
         raise ValueError(f"long_seq length {len(request.long_seq)} exceeds l_lt={config.l_lt}")
     state = RequestState()
-    state.req = request
     state.user_vec = params.user_emb[request.user_id]
     state.ctx_vec = params.ctx_emb[request.context_bucket]
     state.st = _embed_sequence(request.short_seq, request.timestamp, params, config, "short_seq")
     state.lt = _embed_sequence(request.long_seq, request.timestamp, params, config, "long_seq")
-    state.st_kv = None if config.variant == "POOLING" else _kv_stacks(state.st.emb, params.short_attn)
     state.lt_kv = _kv_stacks(state.lt.emb, params.long_attn) if config.variant == "FULL_TA" else None
     state.long_fps = None
     state.item_fps = item_fps
-    if config.variant == "ETA" and not config.hash_projected:
-        if item_fps is not None:
+    if config.variant == "ETA":
+        if config.hash_projected:
+            state.long_fps = fingerprint_batch(state.lt.base @ params.long_attn.wk[0], params.family)
+        elif item_fps is not None:
             state.long_fps = item_fps.take(state.lt.items)
         else:
             state.long_fps = fingerprint_batch(state.lt.base, params.family)
@@ -806,12 +805,8 @@ def retrieval_stage(state: RequestState, cand_items: np.ndarray, cand_emb: np.nd
     length = lt.mask.shape[0]
     if variant == "ETA":
         if config.hash_projected:
-            rows = [
-                long_selection_like(state, cand_emb[i], params, config).indices
-                for i in range(cand_emb.shape[0])
-            ]
-            return np.stack(rows) if rows else np.empty((0, 0), np.int64)
-        if state.item_fps is not None:
+            qfps = fingerprint_batch(cand_emb @ params.long_attn.wq[0], params.family)
+        elif state.item_fps is not None:
             qfps = state.item_fps.take(cand_items)
         else:
             qfps = fingerprint_batch(cand_emb, params.family)
@@ -840,11 +835,25 @@ def retrieval_stage(state: RequestState, cand_items: np.ndarray, cand_emb: np.nd
     return None
 
 
-def long_selection_like(state: RequestState, target: np.ndarray,
-                        params: ModelParams, config: ModelConfig) -> TopKResult:
-    qfp = simhash(target @ params.long_attn.wq[0], params.family)
-    kfps = fingerprint_batch(state.lt.base @ params.long_attn.wk[0], params.family)
-    return top_k_by_hamming(qfp, kfps, state.lt.mask, config.k)
+def _folded_attention(attn: MHTAParams):
+    """Per-head projections folded into two matrices, one batched matmul each.
+
+    qk is (d, n_heads * d) with head h's block alpha W_q[h] W_k[h]^T, so a
+    query row times qk gives every head's logit weights over raw
+    sequence rows; vo is (n_heads * d, d_out) with head h's block
+    W_v[h] W_o[h], so head-pooled sequence rows times vo is the output."""
+    n_h, d, d_h = attn.wq.shape
+    qk = attn.alpha * np.matmul(attn.wq, attn.wk.transpose(0, 2, 1))  # (n_heads, d, d)
+    vo = np.matmul(attn.wv, attn.wo.reshape(n_h, d_h, -1))  # (n_heads, d, d_out)
+    return qk.transpose(1, 0, 2).reshape(d, n_h * d), vo.reshape(n_h * d, -1)
+
+
+def _softmax_rows(logits: np.ndarray) -> np.ndarray:
+    """In-place softmax along the last axis."""
+    logits -= logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return logits
 
 
 def _attend_full_batch(kv, cand_q: np.ndarray, mask: np.ndarray, attn: MHTAParams):
@@ -856,42 +865,42 @@ def _attend_full_batch(kv, cand_q: np.ndarray, mask: np.ndarray, attn: MHTAParam
     for h in range(attn.n_heads):
         q = cand_q @ attn.wq[h]  # (n, d_head)
         logits = attn.alpha * (q @ ks[h].T)  # (n, L)
-        logits[:, ~mask] = -np.inf
-        shift = logits.max(axis=1, keepdims=True)
-        w = np.exp(logits - shift)
-        w[:, ~mask] = 0.0
-        w /= w.sum(axis=1, keepdims=True)
-        heads[:, h * attn.d_head : (h + 1) * attn.d_head] = w @ vs[h]
+        logits[:, ~mask] = -np.inf  # exp gives exact zeros there
+        heads[:, h * attn.d_head : (h + 1) * attn.d_head] = _softmax_rows(logits) @ vs[h]
     return heads @ attn.wo
 
 
-def _attend_selected_batch(emb: np.ndarray, cand_q: np.ndarray, sel: np.ndarray,
-                           attn: MHTAParams):
-    """Attention of each candidate over its selected rows of emb.
+def _attend_window_batch(emb: np.ndarray, mask: np.ndarray, cand_q: np.ndarray, qk, vo):
+    """Folded attention of every candidate over the valid rows of one shared window."""
+    n = cand_q.shape[0]
+    rows = emb[mask]
+    if rows.shape[0] == 0:
+        return np.zeros((n, vo.shape[1]))
+    d = rows.shape[1]
+    w = _softmax_rows((cand_q @ qk).reshape(-1, d) @ rows.T)  # (n * n_heads, valid)
+    return (w @ rows).reshape(n, vo.shape[0]) @ vo
 
-    W_k is folded into the query, (q W_q) W_k^T, and W_v is applied after
-    the weighted sum, so the only per-candidate gather is of embedding
-    rows, once for all heads; only the selected rows are ever touched."""
+
+def _attend_selected_batch(emb: np.ndarray, cand_q: np.ndarray, sel: np.ndarray, qk, vo):
+    """Folded attention of each candidate over its selected rows of emb.
+
+    The only per-candidate data is one gather of embedding rows, shared by
+    all heads; only the selected rows are ever touched."""
     n, k = sel.shape
     if k == 0:
-        return np.zeros((n, attn.wo.shape[1]))
-    sel = np.sort(sel, axis=1)  # same gather order as the per-sample path
-    # np.take on a flat index is the fastest row gather; out= would make
-    # numpy buffer the result under mode='raise', at 2.5x the cost
-    rows = np.take(emb, sel.ravel(), axis=0).reshape(n, k, emb.shape[1])
-    q_keys = np.stack(
-        [(cand_q @ attn.wq[h]) @ attn.wk[h].T for h in range(attn.n_heads)], axis=1
-    )  # (n, n_heads, d)
+        return np.zeros((n, vo.shape[1]))
+    d = emb.shape[1]
+    n_h = qk.shape[1] // d
+    # rows are gathered in selection order, not sorted by position as in
+    # the per-sample path, so sums may differ from it in the last bit;
+    # with out=, mode='raise' would make numpy buffer the result, and the
+    # indices come from the selectors, always in range
+    rows = np.take(emb, sel.ravel(), axis=0, mode="clip",
+                   out=scratch_buf("attend.rows", (n * k, d), emb.dtype)).reshape(n, k, d)
     # softmax runs along the last axis: numpy's reductions over a short
     # strided axis cost several times more
-    logits = attn.alpha * (q_keys @ rows.transpose(0, 2, 1))  # (n, n_heads, k)
-    w = np.exp(logits - logits.max(axis=2, keepdims=True))
-    w /= w.sum(axis=2, keepdims=True)
-    pooled = w @ rows  # (n, n_heads, d)
-    heads = np.concatenate(
-        [pooled[:, h] @ attn.wv[h] for h in range(attn.n_heads)], axis=1
-    )
-    return heads @ attn.wo
+    w = _softmax_rows(np.matmul((cand_q @ qk).reshape(n, n_h, d), rows.transpose(0, 2, 1)))
+    return np.matmul(w, rows).reshape(n, n_h * d) @ vo
 
 
 def attention_stage(state: RequestState, cand_emb: np.ndarray, sel: Optional[np.ndarray],
@@ -905,30 +914,29 @@ def attention_stage(state: RequestState, cand_emb: np.ndarray, sel: Optional[np.
         return np.broadcast_to(_masked_mean(state.lt.emb, state.lt.mask, d), (n, d)).copy()
     if variant == "FULL_TA":
         return _attend_full_batch(state.lt_kv, cand_emb, state.lt.mask, params.long_attn)
-    return _attend_selected_batch(state.lt.emb, cand_emb, sel, params.long_attn)
+    return _attend_selected_batch(state.lt.emb, cand_emb, sel, *_folded_attention(params.long_attn))
 
 
 def finish_stage(state: RequestState, cand_emb: np.ndarray, long_rep: np.ndarray,
                  params: ModelParams, config: ModelConfig) -> np.ndarray:
-    """Short-window representation, MLP, sigmoid; returns probabilities."""
-    n, d = cand_emb.shape
+    """Short-window representation, MLP, sigmoid; returns probabilities.
+
+    The first MLP layer is applied block by block, so the user and
+    context rows (and a pooled short window) are multiplied once per
+    request rather than once per candidate."""
+    d = cand_emb.shape[1]
     if config.variant == "POOLING":
-        short_rep = np.broadcast_to(_masked_mean(state.st.emb, state.st.mask, d), (n, d))
+        short_rep = _masked_mean(state.st.emb, state.st.mask, d)
     else:
-        short_rep = _attend_full_batch(state.st_kv, cand_emb, state.st.mask, params.short_attn)
-    x = np.concatenate(
-        [
-            np.broadcast_to(state.user_vec, (n, d)),
-            np.broadcast_to(state.ctx_vec, (n, d)),
-            cand_emb, short_rep, long_rep,
-        ],
-        axis=1,
-    )
-    a = x
-    for w, b in zip(params.mlp_w[:-1], params.mlp_b[:-1]):
-        a = _leaky(a @ w + b)
-    z = a @ params.mlp_w[-1][:, 0] + params.mlp_b[-1][0]
-    return np.clip(_sigmoid(z), _PROB_EPS, 1.0 - _PROB_EPS)
+        short_rep = _attend_window_batch(state.st.emb, state.st.mask, cand_emb,
+                                         *_folded_attention(params.short_attn))
+    w0 = params.mlp_w[0]  # input blocks: user, context, candidate, short, long
+    shared = state.user_vec @ w0[:d] + state.ctx_vec @ w0[d : 2 * d] + params.mlp_b[0]
+    a = cand_emb @ w0[2 * d : 3 * d] + short_rep @ w0[3 * d : 4 * d] + long_rep @ w0[4 * d :]
+    a += shared
+    for w, b in zip(params.mlp_w[1:], params.mlp_b[1:]):
+        a = _leaky(a) @ w + b
+    return np.clip(_sigmoid(a[:, 0]), _PROB_EPS, 1.0 - _PROB_EPS)
 
 
 def predict_request(request: Request, candidates, params: ModelParams, config: ModelConfig,

@@ -102,16 +102,17 @@ def _pairwise_hamming(qwords: np.ndarray, kwords: np.ndarray) -> np.ndarray:
 
 
 def _recency_keys(length: int, dtype) -> np.ndarray:
-    """length-1 .. 0, cached read-only per (length, dtype)."""
+    """length-1 .. 0, a read-only slice of one grow-only descending array
+    per (thread, dtype)."""
     store = getattr(_local, "recency", None)
     if store is None:
         store = _local.recency = {}
-    key = (length, np.dtype(dtype).str)
+    key = np.dtype(dtype).str
     rev = store.get(key)
-    if rev is None:
+    if rev is None or rev.shape[0] < length:
         rev = store[key] = np.arange(length - 1, -1, -1, dtype=dtype)
         rev.flags.writeable = False
-    return rev
+    return rev[rev.shape[0] - length :]
 
 
 def _densify(words: np.ndarray, rounds: int, bits_per_round: int) -> np.ndarray:
@@ -129,41 +130,14 @@ def _densify(words: np.ndarray, rounds: int, bits_per_round: int) -> np.ndarray:
     return acc[:, None]
 
 
-_CHUNK = 512  # key columns per block; keeps XOR/popcount scratch L2-resident
-
-
 def _composite_keys(qwords: np.ndarray, kwords: np.ndarray, ctype) -> np.ndarray:
     """distance * length + (length - 1 - position) for every query/key
-    pair, written into per-thread scratch of shape (n_queries, length).
-
-    For one-word fingerprints the XOR, popcount and key arithmetic are
-    fused over column blocks small enough to stay cache-resident, so the
-    only full-width memory traffic is the single write of the composite
-    matrix itself; wider fingerprints fall back to a full-width pass per
-    word."""
-    n_q, n_words = qwords.shape
+    pair, written into per-thread scratch of shape (n_queries, length)."""
     length = kwords.shape[0]
-    composite = _scratch_buf("composite", (n_q, length), ctype)
-    rev = _recency_keys(length, ctype)
-    scale = ctype(length)
-    if n_words == 1 and n_q > 0 and length > 0:
-        q0 = qwords[:, 0, None]
-        keys = kwords[:, 0]
-        width = min(length, _CHUNK)
-        buf = _scratch_buf("xor_chunk", (n_q, width), np.uint64)
-        pc = _scratch_buf("pop_chunk", (n_q, width), np.uint8)
-        for lo in range(0, length, _CHUNK):
-            hi = min(lo + _CHUNK, length)
-            w = hi - lo
-            np.bitwise_xor(q0, keys[lo:hi][None, :], out=buf[:, :w])
-            np.bitwise_count(buf[:, :w], out=pc[:, :w])
-            out = composite[:, lo:hi]
-            np.multiply(pc[:, :w], scale, out=out)
-            out += rev[lo:hi]
-        return composite
+    composite = _scratch_buf("composite", (qwords.shape[0], length), ctype)
     dist = _pairwise_hamming(qwords, kwords)
-    np.multiply(dist, scale, out=composite)  # promotes the narrow distances
-    composite += rev[None, :]
+    np.multiply(dist, ctype(length), out=composite)  # promotes the narrow distances
+    composite += _recency_keys(length, ctype)
     return composite
 
 
@@ -223,8 +197,10 @@ def hamming_top_k_batch(
     else:
         ctype, sentinel = np.int64, _SENTINEL
     composite = _composite_keys(qwords, kwords, ctype)
-    composite[:, ~mask] = sentinel
-    k_eff = min(k, int(mask.sum()))
+    n_valid = int(mask.sum())
+    if n_valid < length:
+        composite[:, ~mask] = sentinel
+    k_eff = min(k, n_valid)
     if k_eff == 0:
         n = queries.words.shape[0]
         return np.empty((n, 0), np.int64), np.empty((n, 0), np.int64)

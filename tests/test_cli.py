@@ -198,7 +198,8 @@ def test_unknown_command_exits_2(capsys):
     assert exc.value.code == 2
 
 
-def test_bench_ablation_tiny(workdir, capsys):
+def test_bench_ablation_tiny(workdir, capsys, monkeypatch):
+    monkeypatch.setattr("hashta.bench.blas_threads", lambda: 1)
     out = workdir["root"] / "abl"
     code = main([
         "bench-ablation", "--config", str(workdir["config"]),
@@ -213,16 +214,19 @@ def test_bench_ablation_tiny(workdir, capsys):
     payload = json.loads((workdir["root"] / "abl.json").read_text())
     assert len(payload["records"]) == 2
     assert "AVG/-/8/-" in err.out
+    assert "blas_threads" not in err.err
 
 
-def test_bench_scaling_tiny(workdir, capsys):
+def test_bench_scaling_tiny(workdir, capsys, monkeypatch):
+    monkeypatch.setattr("hashta.bench.blas_threads", lambda: 2)
     out = workdir["root"] / "scal"
     code = main([
         "bench-scaling", "--config", str(workdir["config"]),
         "--long-len", "4,8", "--out", str(out),
     ])
-    capsys.readouterr()
+    err = capsys.readouterr().err
     assert code == 0
+    assert "warning: blas_threads is 2" in err
     rows = list(csv.DictReader(open(str(out) + ".csv")))
     assert [int(r["l_lt"]) for r in rows] == [4, 8]
     assert all(float(r["retrieval_mean_us"]) > 0 for r in rows)

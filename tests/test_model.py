@@ -1,8 +1,11 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hashta import _scratch, retrieval
 from hashta.data import Sample
 from hashta.errors import FormatError, NumericError
 from hashta.model import (
@@ -461,6 +464,7 @@ VARIANT_CONFIGS = [
     ("FULL_TA", {}),
     ("SIM_HARD", {}),
     ("ETA_DOT", {}),
+    ("ETA", {"mlp_widths": ()}),  # the first MLP layer is the output layer
 ]
 
 
@@ -487,12 +491,22 @@ def test_predict_request_handles_empty_inputs():
     assert predict_request(req, [], params, config).shape == (0,)
     out = predict_request(req, [(1, 1), (2, 2)], params, config)
     assert out.shape == (2,) and np.all((out > 0) & (out < 1))
+    full_req = request_from_sample(mk_sample(np.random.default_rng(31)))
+    for variant, extra in VARIANT_CONFIGS:  # the stages also take no candidates
+        config = tiny_config(variant=variant, **extra)
+        params = init_params(config)
+        state = prepare_request(full_req, params, config)
+        items, cats, emb = candidate_embeddings([], params, config)
+        sel = retrieval_stage(state, items, emb, cats, params, config)
+        long_rep = attention_stage(state, emb, sel, params, config)
+        assert finish_stage(state, emb, long_rep, params, config).shape == (0,), variant
 
 
 def test_retrieval_stage_rows_match_single_selection():
     rng = np.random.default_rng(32)
-    for variant in ("ETA", "SIM_HARD", "ETA_DOT"):
-        config = tiny_config(variant=variant)
+    for variant, extra in (("ETA", {}), ("ETA", {"hash_projected": True}),
+                           ("SIM_HARD", {}), ("ETA_DOT", {})):
+        config = tiny_config(variant=variant, **extra)
         params = init_params(config)
         base = mk_sample(rng, n_long=8)
         cands = [(int(i), cat_of(int(i))) for i in rng.integers(1, 31, size=5)]
@@ -502,7 +516,34 @@ def test_retrieval_stage_rows_match_single_selection():
         for row, (it, ct) in enumerate(cands):
             s = Sample(**{**base.__dict__, "target_item": it, "target_category": ct})
             single = long_selection(s, params, config)
-            assert sel[row].tolist() == single.indices.tolist(), variant
+            assert sel[row].tolist() == single.indices.tolist(), (variant, extra)
+
+
+def test_scratch_is_bounded_by_the_largest_request():
+    config = tiny_config(variant="ETA", l_lt=600)
+    params = init_params(config)
+    rng = np.random.default_rng(34)
+    cands = [(int(i), cat_of(int(i))) for i in rng.integers(1, 31, size=7)]
+    lengths = rng.permutation(np.arange(200, 600, 7))  # 58 distinct lengths
+    requests = {n: request_from_sample(mk_sample(rng, n_long=int(n))) for n in lengths}
+
+    def workspace(lens):
+        # scratch is per thread, so each run starts from an empty one
+        def work():
+            for n in lens:
+                predict_request(requests[n], cands, params, config)
+            sizes = {key: buf.size for key, buf in _scratch._local.bufs.items()}
+            sizes.update({("recency", key): rev.size for key, rev in retrieval._local.recency.items()})
+            return sizes
+
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            return pool.submit(work).result()
+
+    many = workspace(lengths)
+    tags = [tag for tag, _ in many]
+    assert len(tags) == len(set(tags))
+    assert many[("retrieval.composite", np.dtype(np.int32).str)] == len(cands) * lengths.max()
+    assert many == workspace([lengths.max()])
 
 
 def test_stage_composition_equals_predict_request():

@@ -108,19 +108,26 @@ def test_invalid_args_rejected():
 # batch
 
 
-@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 50), st.integers(1, 6))
+@given(st.integers(0, 2**32 - 1), st.integers(1, 1100), st.integers(1, 50), st.integers(1, 6),
+       st.data())
 @settings(max_examples=40, deadline=None)
-def test_batch_rows_equal_single_queries(seed, length, k, n_queries):
+def test_batch_rows_equal_single_queries(seed, length, k, n_queries, data):
+    # a longer then a shorter length after the first call: per-thread
+    # scratch is grown, then reused through a smaller view
+    longer = data.draw(st.integers(length + 1, length + 600), label="longer")
+    shorter = data.draw(st.integers(1, longer - 1), label="shorter")
+    valid_p = data.draw(st.sampled_from([0.85, 1.0]), label="valid_p")
     rng = np.random.default_rng(seed)
     fam = new_hash_family(5, 24, 2, seed=3)
-    keys = fingerprint_batch(rng.standard_normal((length, 5)), fam)
     queries = fingerprint_batch(rng.standard_normal((n_queries, 5)), fam)
-    mask = rng.random(length) < 0.85
-    idx, dists = hamming_top_k_batch(queries, keys, mask, k)
-    for row in range(n_queries):
-        single = top_k_by_hamming(queries.row(row), keys, mask, k)
-        assert idx[row].tolist() == single.indices.tolist()
-        assert dists[row].tolist() == single.scores.tolist()
+    for n in (length, longer, shorter):
+        keys = fingerprint_batch(rng.standard_normal((n, 5)), fam)
+        mask = rng.random(n) < valid_p
+        idx, dists = hamming_top_k_batch(queries, keys, mask, k)
+        for row in range(n_queries):
+            single = top_k_by_hamming(queries.row(row), keys, mask, k)
+            assert idx[row].tolist() == single.indices.tolist()
+            assert dists[row].tolist() == single.scores.tolist()
 
 
 def test_batch_all_masked():
