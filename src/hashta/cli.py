@@ -123,6 +123,13 @@ def _load_dataset(path, config: M.ModelConfig, negatives: int):
     return log, config, samples
 
 
+def _log_stats(log: D.BehaviorLog) -> dict:
+    return {
+        "n_rows": log.n_rows, "n_malformed": log.n_malformed,
+        "n_recategorized": log.n_recategorized,
+    }
+
+
 def _item_cats_from_log(log: D.BehaviorLog) -> np.ndarray:
     arr = np.zeros(log.n_items + 1, dtype=np.int64)
     for item, cat in log.item_category.items():
@@ -214,6 +221,7 @@ def cmd_train(args) -> int:
             "val_samples": len(samples.val),
             "test_samples": len(samples.test),
             "sample_stats": samples.stats,
+            "log": _log_stats(log),
         }
     )
     return 0
@@ -242,6 +250,7 @@ def cmd_eval(args) -> int:
             "test_auc": result.auc,
             "test_samples": int(result.labels.shape[0]),
             "fingerprints": args.fingerprints,
+            "log": _log_stats(log),
         },
         args.out,
     )
@@ -391,9 +400,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, checkpoint=False, data=False):
         p.add_argument("--config", help="INI config file ([model]/[data]/[synthetic]/[bench])")
-        p.add_argument("--seed", type=int, help="override the configured seed")
-        if checkpoint:
+        if checkpoint:  # the checkpoint's config carries the seed
             p.add_argument("--checkpoint", required=True, help="model checkpoint path")
+        else:
+            p.add_argument("--seed", type=int, help="override the configured seed")
         if data:
             p.add_argument("--data", required=True, help="behavior log CSV")
 

@@ -9,6 +9,16 @@ next to derived datasets.  Malformed rows are counted and tolerated up
 to 1% of the file, beyond which loading fails and names the first bad
 line.
 
+The loader parses the whole file with array operations.  Only lines of a
+strict shape take that path: exactly four commas, no byte outside
+``[0-9a-z,]``, numeric fields of 1-18 digits, a known behavior token and
+a positive timestamp.  Every other line is stripped and parsed on its
+own with ``int()``, which keeps what that accepts (padding whitespace,
+signs, ``_`` separators, non-ASCII digits, ids beyond int64) and counts
+the rest as blank or malformed exactly as a per-line reader would.  The
+log is held as columns sorted by (user, timestamp), ties in file order;
+``events_by_user`` maps each user to a list of events built on access.
+
 Samples follow the last-item protocol: per user the final event is the
 positive target, the preceding events provide the short and long
 windows, and negatives are drawn from the positive's category excluding
@@ -16,9 +26,6 @@ everything the user ever touched (falling back to the global pool for
 degenerate categories).  The split is chronological 80/10/10 over
 impressions ordered by timestamp, so the validation and test periods
 never precede training data.
-
-Sample files are a one-line schema header followed by one JSON object
-per line.
 
 The synthetic generator plants a long-term structure: each user gets a
 few interest categories and a small pool of favorite items inside them.
@@ -35,6 +42,7 @@ that retrieves old occurrences of the target item can.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,8 +51,6 @@ from .errors import FormatError
 
 BEHAVIOR_TOKENS = {"pv": "click", "fav": "favorite", "cart": "cart", "buy": "purchase"}
 TOKEN_OF = {v: k for k, v in BEHAVIOR_TOKENS.items()}
-
-SAMPLES_SCHEMA = "hashta-samples/1"
 
 SECONDS_PER_DAY = 86400
 
@@ -58,17 +64,64 @@ class BehaviorEvent:
     timestamp: int
 
 
+class UserEvents(Mapping):
+    """Read-only user -> list of BehaviorEvent, held as columns.
+
+    User ``users[j]`` owns rows ``offsets[j]:offsets[j + 1]`` of the item,
+    category, behavior-type and timestamp columns.  Lists are built on
+    access; ``build_samples`` reads the columns directly.
+    """
+
+    def __init__(self, users, offsets, item, category, behavior, timestamp):
+        self.users = list(users)
+        self.offsets = offsets
+        self.item = item
+        self.category = category
+        self.behavior = behavior
+        self.timestamp = timestamp
+        self._slot = {u: j for j, u in enumerate(self.users)}
+
+    @classmethod
+    def from_dict(cls, sequences: dict) -> "UserEvents":
+        """Columns of a plain user -> event-list dict, users in sorted order."""
+        users = sorted(sequences)
+        offsets = np.zeros(len(users) + 1, dtype=np.int64)
+        np.cumsum([len(sequences[u]) for u in users], out=offsets[1:])
+        _, item, category, behavior, ts = _event_columns(
+            [e for u in users for e in sequences[u]]
+        )
+        return cls(users, offsets, item, category, behavior, ts)
+
+    def __getitem__(self, user):
+        j = self._slot[user]
+        rows = slice(self.offsets[j], self.offsets[j + 1])
+        return [
+            BehaviorEvent(user, i, c, b, t)
+            for i, c, b, t in zip(
+                self.item[rows].tolist(), self.category[rows].tolist(),
+                self.behavior[rows].tolist(), self.timestamp[rows].tolist(),
+            )
+        ]
+
+    def __iter__(self):
+        return iter(self.users)
+
+    def __len__(self):
+        return len(self.users)
+
+
 @dataclass
 class BehaviorLog:
     """Parsed log with dense ids.  events_by_user lists are chronological."""
 
-    events_by_user: dict
+    events_by_user: UserEvents
     user_map: dict  # raw -> dense
     item_map: dict
     category_map: dict
     item_category: dict  # dense item -> dense category (first seen)
     n_rows: int = 0
     n_malformed: int = 0
+    n_recategorized: int = 0  # rows whose category is not their item's first-seen one
 
     @property
     def n_users(self) -> int:
@@ -98,69 +151,160 @@ def _parse_line(line: str):
     return user, item, cat, btype, ts
 
 
-def load_behavior_log(path) -> BehaviorLog:
-    user_map: dict = {}
-    item_map: dict = {}
-    cat_map: dict = {}
-    item_category: dict = {}
-    rows = []
-    n_rows = 0
-    n_malformed = 0
-    first_bad = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            n_rows += 1
-            parsed = _parse_line(line)
-            if parsed is None:
-                n_malformed += 1
-                if first_bad is None:
-                    first_bad = lineno
-                continue
-            user, item, cat, btype, ts = parsed
-            u = user_map.setdefault(user, len(user_map) + 1)
-            i = item_map.setdefault(item, len(item_map) + 1)
-            c = cat_map.setdefault(cat, len(cat_map) + 1)
-            item_category.setdefault(i, c)
-            rows.append((u, i, c, btype, ts))
-    if n_rows > 0 and n_malformed / n_rows > 0.01:
-        raise FormatError(
-            f"{n_malformed} of {n_rows} rows malformed (>1%), first at line {first_bad}"
-        )
-    events_by_user: dict = {}
-    for u, i, c, btype, ts in rows:
-        events_by_user.setdefault(u, []).append(
-            BehaviorEvent(u, i, c, btype, ts)
-        )
-    for u in events_by_user:
-        events_by_user[u].sort(key=lambda e: e.timestamp)
-    return BehaviorLog(
-        events_by_user, user_map, item_map, cat_map, item_category, n_rows, n_malformed
+def _id_column(values) -> np.ndarray:
+    """int64 when every value fits, else Python ints in an object array."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _event_columns(events):
+    return (
+        _id_column([e.user_id for e in events]),
+        _id_column([e.item_id for e in events]),
+        _id_column([e.category_id for e in events]),
+        np.array([e.behavior_type for e in events], dtype=str),
+        _id_column([e.timestamp for e in events]),
     )
+
+
+_TYPE_NAMES = np.array(list(BEHAVIOR_TOKENS.values()))
+_MAX_DIGITS = 18  # 10**18 - 1 < 2**63
+
+
+def _parse_digits(digits, start, stop):
+    """Values of the fields digits[start:stop] read as decimals, and whether
+    each is 1-18 digits (the value is meaningless where it is not)."""
+    length = stop - start
+    ok = (length >= 1) & (length <= _MAX_DIGITS)
+    value = np.zeros(start.shape, dtype=np.int64)
+    for n in np.flatnonzero(np.bincount(length[ok])).tolist():
+        rows = np.flatnonzero(ok & (length == n))
+        first = start[rows]
+        acc = np.zeros(rows.size, dtype=np.int64)
+        plain = np.ones(rows.size, dtype=bool)
+        for j in range(n):
+            d = digits[first + j]
+            plain &= d <= 9
+            acc *= 10
+            acc += d
+        value[rows] = acc
+        ok[rows] = plain
+    return value, ok
+
+
+def _token_kinds(buf, start, stop):
+    """Index into _TYPE_NAMES of each field buf[start:stop], -1 if unknown."""
+    kind = np.full(start.shape, -1)
+    for k, token in enumerate(BEHAVIOR_TOKENS):
+        t = token.encode()
+        rows = np.flatnonzero((stop - start == len(t)) & (buf[start] == t[0]))
+        match = np.ones(rows.size, dtype=bool)
+        for j in range(1, len(t)):
+            match &= buf[start[rows] + j] == t[j]
+        kind[rows[match]] = k
+    return kind
+
+
+def _parse_log(text: str):
+    """(user, item, category, behavior, timestamp) columns of the good rows
+    in file order, the non-blank row count and the malformed row count."""
+    data = text.encode("utf-8")
+    buf = np.frombuffer(data, dtype=np.uint8)
+    newlines = np.flatnonzero(buf == ord("\n"))
+    start = np.concatenate(([0], newlines + 1))
+    stop = np.concatenate((newlines, [buf.size]))
+    commas = np.flatnonzero(buf == ord(","))
+    first_comma = np.searchsorted(commas, start)
+    # bytes outside [0-9a-z,\n]; uint8 arithmetic wraps, so one compare per range
+    digits = buf - np.uint8(ord("0"))
+    odd = np.flatnonzero(
+        (digits > 9) & (buf - np.uint8(ord("a")) > 25) & (buf != ord(",")) & (buf != ord("\n"))
+    )
+    n_odd = np.diff(np.searchsorted(odd, start), append=odd.size)
+    strict = np.flatnonzero((np.diff(first_comma, append=commas.size) == 4) & (n_odd == 0))
+
+    cuts = commas[first_comma[strict, None] + np.arange(4)]
+    lo = [start[strict], *(cuts.T + 1)]  # field f of strict line r is lo[f][r]:hi[f][r]
+    hi = [*cuts.T, stop[strict]]
+    (user, ok_u), (item, ok_i), (cat, ok_c), (ts, ok_t) = (
+        _parse_digits(digits, lo[f], hi[f]) for f in (0, 1, 2, 4)
+    )
+    kind = _token_kinds(buf, lo[3], hi[3])
+    good = ok_u & ok_i & ok_c & ok_t & (kind >= 0) & (ts > 0)
+
+    other = stop > start  # blank lines are skipped and not counted
+    other[strict[good]] = False
+    lines = np.flatnonzero(other)
+    rows, bad = [], []
+    for j, a, b in zip(lines.tolist(), start[lines].tolist(), stop[lines].tolist()):
+        line = data[a:b].decode("utf-8").strip()
+        if not line:
+            continue
+        parsed = _parse_line(line)
+        if parsed is None:
+            bad.append(j)
+        else:
+            rows.append((j, *parsed))
+    n_rows = int(good.sum()) + len(rows) + len(bad)
+    if n_rows > 0 and len(bad) / n_rows > 0.01:
+        raise FormatError(
+            f"{len(bad)} of {n_rows} rows malformed (>1%), first at line {bad[0] + 1}"
+        )
+
+    cols = [user[good], item[good], cat[good], _TYPE_NAMES[kind[good]], ts[good]]
+    if rows:  # merge the rows parsed one at a time back into file order
+        line_of, users, items, cats, types, stamps = zip(*rows)
+        order = np.argsort(np.concatenate((strict[good], line_of)), kind="stable")
+        extra = [_id_column(users), _id_column(items), _id_column(cats), np.array(types),
+                 _id_column(stamps)]
+        cols = [np.concatenate(pair)[order] for pair in zip(cols, extra)]
+    return cols, n_rows, len(bad)
+
+
+def _dense_ids(raw):
+    """Dense 1-based ids of raw in first-appearance order, the raw -> dense
+    map, and the row where each dense id first appears."""
+    uniq, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
+    by_appearance = np.argsort(first)
+    dense = np.empty(uniq.size, dtype=np.int64)
+    dense[by_appearance] = np.arange(1, uniq.size + 1)
+    id_map = dict(zip(uniq[by_appearance].tolist(), range(1, uniq.size + 1)))
+    return dense[inverse], id_map, first[by_appearance]
+
+
+def _index_log(user, item, category, behavior, ts, n_rows, n_malformed) -> BehaviorLog:
+    """Dense ids, each item's category from its first row, and the rows
+    sorted by (user, timestamp) with ties in row order."""
+    u, user_map, _ = _dense_ids(user)
+    i, item_map, first_row = _dense_ids(item)
+    c, category_map, _ = _dense_ids(category)
+    first_cat = np.zeros(len(item_map) + 1, dtype=np.int64)
+    first_cat[1:] = c[first_row]
+    order = np.lexsort((ts, u))
+    offsets = np.zeros(len(user_map) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(u, minlength=len(user_map) + 1)[1:], out=offsets[1:])
+    events = UserEvents(
+        range(1, len(user_map) + 1), offsets, i[order], c[order], behavior[order], ts[order]
+    )
+    return BehaviorLog(
+        events, user_map, item_map, category_map,
+        dict(zip(range(1, len(item_map) + 1), first_cat[1:].tolist())),
+        n_rows, n_malformed, int(np.count_nonzero(c != first_cat[i])),
+    )
+
+
+def load_behavior_log(path) -> BehaviorLog:
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    cols, n_rows, n_malformed = _parse_log(text)
+    return _index_log(*cols, n_rows, n_malformed)
 
 
 def log_from_events(events) -> BehaviorLog:
     """Index in-memory events exactly as load_behavior_log would from disk."""
-    user_map: dict = {}
-    item_map: dict = {}
-    cat_map: dict = {}
-    item_category: dict = {}
-    events_by_user: dict = {}
-    for e in events:
-        u = user_map.setdefault(e.user_id, len(user_map) + 1)
-        i = item_map.setdefault(e.item_id, len(item_map) + 1)
-        c = cat_map.setdefault(e.category_id, len(cat_map) + 1)
-        item_category.setdefault(i, c)
-        events_by_user.setdefault(u, []).append(
-            BehaviorEvent(u, i, c, e.behavior_type, e.timestamp)
-        )
-    for u in events_by_user:
-        events_by_user[u].sort(key=lambda e: e.timestamp)
-    return BehaviorLog(
-        events_by_user, user_map, item_map, cat_map, item_category, len(events), 0
-    )
+    return _index_log(*_event_columns(events), len(events), 0)
 
 
 def write_behavior_log(path, events) -> None:
@@ -228,18 +372,24 @@ def _context_bucket(ts: int) -> int:
 
 
 def build_samples(
-    sequences: dict,
+    sequences,
     l_st: int,
     l_lt: int,
     negatives_per_positive: int,
     category_index: dict,
     seed: int,
 ) -> SampleSet:
-    """Last-item-positive samples plus seeded same-category negatives."""
+    """Last-item-positive samples plus seeded same-category negatives.
+
+    ``sequences`` is a log's ``events_by_user`` or a plain dict of user ->
+    event list.  Each user's last listed event is the target; the history
+    is the earlier-listed events older than it."""
     if l_st < 1 or l_lt < 1:
         raise ValueError(f"window lengths must be positive, got {l_st}, {l_lt}")
     if negatives_per_positive < 0:
         raise ValueError(f"negatives_per_positive must be >= 0, got {negatives_per_positive}")
+    if not isinstance(sequences, UserEvents):
+        sequences = UserEvents.from_dict(sequences)
     item_of_cat = category_index
     cat_of_item = {}
     for cat, items in item_of_cat.items():
@@ -251,25 +401,27 @@ def build_samples(
     skipped = 0
     fallback = 0
     dropped_negatives = 0
-    for user in sorted(sequences):
-        events = sequences[user]
-        if len(events) < 2:
+    items, cats, stamps = sequences.item, sequences.category, sequences.timestamp
+    bounds = sequences.offsets.tolist()
+    for user, lo, hi in zip(sequences.users, bounds[:-1], bounds[1:]):
+        if hi - lo < 2:
             skipped += 1
             continue
-        target = events[-1]
-        history = [e for e in events[:-1] if e.timestamp < target.timestamp]
-        if not history:
+        target_ts = int(stamps[hi - 1])
+        # a comparison, not a sorted search: a dict's lists need not be in time order
+        history = lo + np.flatnonzero(stamps[lo:hi - 1] < target_ts)
+        if not history.size:
             skipped += 1
             continue
-        short = tuple((e.item_id, e.category_id, e.timestamp) for e in history[-l_st:])
-        long = tuple((e.item_id, e.category_id, e.timestamp) for e in history[-l_lt:])
-        ctx = _context_bucket(target.timestamp)
-        seen = {e.item_id for e in events}
-        samples = [
-            Sample(user, target.item_id, target.category_id, ctx, target.timestamp, 1, short, long)
-        ]
+        rows = history[-max(l_st, l_lt):]
+        window = tuple(zip(items[rows].tolist(), cats[rows].tolist(), stamps[rows].tolist()))
+        short, long = window[-l_st:], window[-l_lt:]
+        target_item, target_cat = int(items[hi - 1]), int(cats[hi - 1])
+        ctx = _context_bucket(target_ts)
+        seen = set(items[lo:hi].tolist())
+        samples = [Sample(user, target_item, target_cat, ctx, target_ts, 1, short, long)]
         if negatives_per_positive > 0:
-            pool = [i for i in item_of_cat.get(target.category_id, ()) if i not in seen]
+            pool = [i for i in item_of_cat.get(target_cat, ()) if i not in seen]
             if not pool:
                 pool = [i for i in all_items.tolist() if i not in seen]
                 if pool:
@@ -283,11 +435,9 @@ def build_samples(
                 )
                 for item in picks.tolist():
                     samples.append(
-                        Sample(
-                            user, item, cat_of_item[item], ctx, target.timestamp, 0, short, long
-                        )
+                        Sample(user, item, cat_of_item[item], ctx, target_ts, 0, short, long)
                     )
-        units.append((target.timestamp, user, samples))
+        units.append((target_ts, user, samples))
     units.sort(key=lambda t: (t[0], t[1]))
     n = len(units)
     cut_train = int(n * 0.8)
@@ -303,54 +453,6 @@ def build_samples(
         "units": n,
     }
     return SampleSet(train, val, test, stats)
-
-
-def save_samples(path, samples) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(SAMPLES_SCHEMA + "\n")
-        for s in samples:
-            fh.write(
-                json.dumps(
-                    {
-                        "u": s.user_id,
-                        "i": s.target_item,
-                        "c": s.target_category,
-                        "x": s.context_bucket,
-                        "t": s.timestamp,
-                        "y": s.label,
-                        "s": [list(b) for b in s.short_seq],
-                        "l": [list(b) for b in s.long_seq],
-                    },
-                    separators=(",", ":"),
-                )
-                + "\n"
-            )
-
-
-def load_samples(path) -> list:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != SAMPLES_SCHEMA:
-            raise FormatError(
-                f"bad sample schema line {header!r}, expected {SAMPLES_SCHEMA!r}"
-            )
-        out = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                out.append(
-                    Sample(
-                        rec["u"], rec["i"], rec["c"], rec["x"], rec["t"], rec["y"],
-                        tuple(tuple(b) for b in rec["s"]),
-                        tuple(tuple(b) for b in rec["l"]),
-                    )
-                )
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise FormatError(f"bad sample record at line {lineno}: {exc}") from exc
-    return out
 
 
 @dataclass(frozen=True)

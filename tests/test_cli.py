@@ -104,6 +104,7 @@ def test_eval_matches_train_and_writes_report(workdir, capsys):
     assert payload["label"].startswith("TA/HASH/8/")
     assert 0.0 <= payload["test_auc"] <= 1.0
     assert json.loads(out.read_text())["test_auc"] == payload["test_auc"]
+    assert payload["log"] == {"n_rows": 40 * 30, "n_malformed": 0, "n_recategorized": 0}
 
 
 def test_precompute_then_eval_is_identical(workdir, capsys):
@@ -196,6 +197,15 @@ def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["eval", "precompute", "retrieve"])
+def test_checkpoint_commands_reject_seed(command, capsys):
+    # their seed comes from the checkpoint, so a --seed flag would be ignored
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--checkpoint", "m.htac", "--data", "log.csv", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_bench_ablation_tiny(workdir, capsys, monkeypatch):

@@ -2,10 +2,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hashta.data import (
+    BEHAVIOR_TOKENS,
     BehaviorEvent,
+    BehaviorLog,
     Sample,
+    SampleSet,
     SyntheticSpec,
     build_category_index,
     build_samples,
@@ -13,10 +18,8 @@ from hashta.data import (
     interest_oracle,
     item_category_of,
     load_behavior_log,
-    load_samples,
     log_from_events,
     save_id_maps,
-    save_samples,
     write_behavior_log,
     SECONDS_PER_DAY,
 )
@@ -211,32 +214,6 @@ def test_build_samples_validation():
 
 
 # ---------------------------------------------------------------------------
-# sample files
-
-
-def test_sample_file_round_trip(tmp_path):
-    sequences = {1: seq_events(1, [(1, 1, 100), (2, 1, 200), (3, 1, 4000)])}
-    ss = build_samples(sequences, 2, 4, 2, {1: [1, 2, 3, 4, 5]}, seed=0)
-    path = tmp_path / "train.jsonl"
-    save_samples(path, ss.train)
-    assert path.read_text().splitlines()[0] == "hashta-samples/1"
-    back = load_samples(path)
-    assert back == ss.train
-    assert all(isinstance(s.long_seq, tuple) for s in back)
-
-
-def test_sample_file_errors(tmp_path):
-    path = tmp_path / "bad.jsonl"
-    path.write_text("wrong-header\n")
-    with pytest.raises(FormatError):
-        load_samples(path)
-    path.write_text('hashta-samples/1\n{"u":1}\n')
-    with pytest.raises(FormatError) as err:
-        load_samples(path)
-    assert "line 2" in str(err.value)
-
-
-# ---------------------------------------------------------------------------
 # synthetic generator
 
 
@@ -345,3 +322,235 @@ def test_interest_oracle_on_a_hand_built_log():
         + [ev(1, 9, 9, old + 40 * SECONDS_PER_DAY)]  # recent, ignored
     )
     assert interest_oracle(events, gap, 2)[1] == (2, 3)
+
+
+# ---------------------------------------------------------------------------
+# per-line reference loader and sampler, and differential tests against them
+
+
+def _oracle_parse_line(line):
+    parts = line.split(",")
+    if len(parts) != 5:
+        return None
+    try:
+        user, item, cat = int(parts[0]), int(parts[1]), int(parts[2])
+        ts = int(parts[4])
+    except ValueError:
+        return None
+    btype = BEHAVIOR_TOKENS.get(parts[3].strip())
+    if btype is None or ts <= 0:
+        return None
+    return user, item, cat, btype, ts
+
+
+def oracle_load_behavior_log(path):
+    """One line at a time, dict remaps, per-user list sorts."""
+    user_map, item_map, cat_map, item_category = {}, {}, {}, {}
+    rows = []
+    n_rows = n_malformed = 0
+    first_bad = None
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            n_rows += 1
+            parsed = _oracle_parse_line(line)
+            if parsed is None:
+                n_malformed += 1
+                if first_bad is None:
+                    first_bad = lineno
+                continue
+            user, item, cat, btype, ts = parsed
+            u = user_map.setdefault(user, len(user_map) + 1)
+            i = item_map.setdefault(item, len(item_map) + 1)
+            c = cat_map.setdefault(cat, len(cat_map) + 1)
+            item_category.setdefault(i, c)
+            rows.append((u, i, c, btype, ts))
+    if n_rows > 0 and n_malformed / n_rows > 0.01:
+        raise FormatError(
+            f"{n_malformed} of {n_rows} rows malformed (>1%), first at line {first_bad}"
+        )
+    events_by_user = {}
+    for u, i, c, btype, ts in rows:
+        events_by_user.setdefault(u, []).append(BehaviorEvent(u, i, c, btype, ts))
+    for u in events_by_user:
+        events_by_user[u].sort(key=lambda e: e.timestamp)
+    recategorized = sum(c != item_category[i] for _, i, c, _, _ in rows)
+    return BehaviorLog(
+        events_by_user, user_map, item_map, cat_map, item_category, n_rows, n_malformed,
+        recategorized,
+    )
+
+
+def oracle_build_samples(sequences, l_st, l_lt, negatives_per_positive, category_index, seed):
+    """Event-list walk over a dict of per-user event lists."""
+    cat_of_item = {item: cat for cat, items in category_index.items() for item in items}
+    all_items = np.array(sorted(cat_of_item), dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    units = []
+    skipped = fallback = dropped = 0
+    for user in sorted(sequences):
+        events = sequences[user]
+        if len(events) < 2:
+            skipped += 1
+            continue
+        target = events[-1]
+        history = [e for e in events[:-1] if e.timestamp < target.timestamp]
+        if not history:
+            skipped += 1
+            continue
+        short = tuple((e.item_id, e.category_id, e.timestamp) for e in history[-l_st:])
+        long = tuple((e.item_id, e.category_id, e.timestamp) for e in history[-l_lt:])
+        ctx = (target.timestamp // 3600) % 24 + 1
+        seen = {e.item_id for e in events}
+        samples = [
+            Sample(user, target.item_id, target.category_id, ctx, target.timestamp, 1, short, long)
+        ]
+        if negatives_per_positive > 0:
+            pool = [i for i in category_index.get(target.category_id, ()) if i not in seen]
+            if not pool:
+                pool = [i for i in all_items.tolist() if i not in seen]
+                if pool:
+                    fallback += 1
+            if not pool:
+                dropped += negatives_per_positive
+            else:
+                arr = np.array(pool, dtype=np.int64)
+                picks = rng.choice(
+                    arr, size=negatives_per_positive, replace=len(arr) < negatives_per_positive
+                )
+                samples += [
+                    Sample(user, i, cat_of_item[i], ctx, target.timestamp, 0, short, long)
+                    for i in picks.tolist()
+                ]
+        units.append((target.timestamp, user, samples))
+    units.sort(key=lambda t: (t[0], t[1]))
+    n = len(units)
+    cut_train, cut_val = int(n * 0.8), int(n * 0.9)
+    parts = [units[:cut_train], units[cut_train:cut_val], units[cut_val:]]
+    stats = {
+        "users_total": len(sequences), "users_skipped": skipped,
+        "fallback_negatives": fallback, "dropped_negatives": dropped, "units": n,
+    }
+    return SampleSet(*([s for _, _, ss in part for s in ss] for part in parts), stats)
+
+
+def assert_same_log(got, want):
+    for name in ("user_map", "item_map", "category_map", "item_category"):
+        assert list(getattr(got, name).items()) == list(getattr(want, name).items()), name
+    assert (got.n_rows, got.n_malformed, got.n_recategorized) == (
+        want.n_rows, want.n_malformed, want.n_recategorized
+    )
+    assert list(got.events_by_user) == list(want.events_by_user)
+    for user, events in want.events_by_user.items():
+        assert got.events_by_user[user] == events
+
+
+def assert_same_samples(got, want):
+    assert (got.train, got.val, got.test, got.stats) == (
+        want.train, want.val, want.test, want.stats
+    )
+
+
+# per field: values that take the array path, values only a per-line int()
+# accepts, and values that make the row malformed
+_IDS = (["1", "2", "3", "07", "12", "1234567890123456789"],
+        [" 4", "5 ", "+5", "1_0", "٣", "-3", "9223372036854775808", "18446744073709551616"],
+        ["", "x1", "0x1", "1.5"])
+_FIELDS = [_IDS, _IDS, _IDS,
+           (["pv", "fav", "cart", "buy"], [" pv", "buy\t"], ["pvx", "favs", "carts", "buyer", "swim", "PV", "", "ca"]),
+           (["100", "200", "200", "300", "0100"],
+            ["+150", "2_00", "٣٠٠", " 250 ", "99999999999999999999"],
+            ["0", "-5", "000", "abc", "1.5"])]
+
+
+def _field(k):
+    strict = st.sampled_from(_FIELDS[k][0])
+    return st.one_of(strict, strict, strict, st.sampled_from(_FIELDS[k][1]))
+
+
+_ROW = st.tuples(*map(_field, range(5))).map(list)
+
+
+@st.composite
+def _bad_row(draw):
+    fields = draw(_ROW)
+    how = draw(st.sampled_from([3, 4, 0, 1, 2, 5, 6]))  # which field breaks, or 4/6 fields
+    if how < 5:
+        fields[how] = draw(st.sampled_from(_FIELDS[how][2]))
+    return fields[:4] if how == 5 else fields + ["7"] if how == 6 else fields
+
+
+_LINE = st.one_of(_ROW, _ROW, _ROW, _bad_row()).map(",".join) | st.sampled_from(
+    ["", "  ", "\t", "\f"]
+)
+_ENDINGS = st.sampled_from(["\n", "\n", "\r\n", "\r"])
+
+
+@st.composite
+def csv_texts(draw):
+    lines = draw(st.lists(st.tuples(_LINE, _ENDINGS), max_size=25))
+    text = "".join(line + end for line, end in lines)
+    if draw(st.booleans()):  # enough strict rows that a malformed one or two pass the 1% rule
+        text = "".join(f"{k % 7 + 1},{k % 11 + 1},{k % 3 + 1},pv,{k % 5 + 100}\n"
+                       for k in range(250)) + text
+    if lines and draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no newline after the last line
+    return text
+
+
+def _load_both(path, text):
+    path.write_bytes(text.encode("utf-8"))
+    results = []
+    for load in (load_behavior_log, oracle_load_behavior_log):
+        try:
+            results.append(load(path))
+        except FormatError as exc:
+            results.append(str(exc))
+    return results
+
+
+@pytest.fixture(scope="module")
+def scratch_csv(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv") / "log.csv"
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=csv_texts())
+def test_loader_matches_per_line_oracle(scratch_csv, text):
+    got, want = _load_both(scratch_csv, text)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert_same_log(got, want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    text=csv_texts(), l_st=st.integers(1, 4), l_lt=st.integers(1, 6),
+    negatives=st.integers(0, 3), seed=st.integers(0, 3), rnd=st.randoms(use_true_random=False),
+)
+def test_build_samples_matches_oracle_on_loaded_logs(scratch_csv, text, l_st, l_lt,
+                                                     negatives, seed, rnd):
+    got, want = _load_both(scratch_csv, text)
+    if isinstance(want, str):
+        return
+    index = build_category_index(got)
+    expected = oracle_build_samples(want.events_by_user, l_st, l_lt, negatives, index, seed)
+    for sequences in (got.events_by_user, want.events_by_user):
+        assert_same_samples(build_samples(sequences, l_st, l_lt, negatives, index, seed), expected)
+    # a plain dict whose lists are out of time order is read as given, last event the target
+    shuffled = {u: rnd.sample(evs, len(evs)) for u, evs in want.events_by_user.items()}
+    assert_same_samples(
+        build_samples(shuffled, l_st, l_lt, negatives, index, seed),
+        oracle_build_samples(shuffled, l_st, l_lt, negatives, index, seed),
+    )
+
+
+def test_recategorized_rows_are_counted(tmp_path):
+    path = tmp_path / "log.csv"
+    path.write_text("1,10,3,pv,100\n1,11,3,pv,200\n2,10,4,pv,150\n")
+    log = load_behavior_log(path)
+    assert log.n_recategorized == 1
+    assert log.item_category == {1: 1, 2: 1}
