@@ -65,7 +65,7 @@ from .data import item_category_of
 
 try:
     from threadpoolctl import threadpool_limits
-except ImportError:  # pragma: no cover - present in the dev environment
+except ImportError:  # optional extra: pip install hashta[threads]
     threadpool_limits = None
 
 

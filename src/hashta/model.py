@@ -275,7 +275,8 @@ def _embed_sequence(seq, now, params: ModelParams, config: ModelConfig, name: st
     out = _SeqData()
     out.items, out.cats = items, cats
     out.mask = items != 0
-    out.base = params.item_emb[items] + params.cat_emb[cats]
+    # np.take gathers rows faster than fancy indexing; the ids are checked above
+    out.base = np.take(params.item_emb, items, axis=0) + np.take(params.cat_emb, cats, axis=0)
     if config.use_time_buckets:
         out.buckets = _time_buckets(ts, now)
         out.emb = out.base + params.time_emb[out.buckets]
@@ -781,13 +782,14 @@ def prepare_request(request: Request, params: ModelParams, config: ModelConfig,
 def candidate_embeddings(candidates, params: ModelParams, config: ModelConfig):
     """(items, categories, base embeddings) for a list of (item, category)."""
     n = len(candidates)
-    arr = np.asarray(candidates, dtype=np.int64).reshape(n, 2) if n else np.empty((0, 2), np.int64)
+    # as in _seq_arrays: rows that are not pairs change the count and fail the reshape
+    arr = np.fromiter(chain.from_iterable(candidates), dtype=np.int64).reshape(n, 2)
     items, cats = arr[:, 0], arr[:, 1]
     if n and (items.min() < 1 or items.max() > config.n_items):
         raise ValueError(f"candidate item id outside [1, {config.n_items}]")
     if n and (cats.min() < 1 or cats.max() > config.n_categories):
         raise ValueError(f"candidate category id outside [1, {config.n_categories}]")
-    return items, cats, params.item_emb[items] + params.cat_emb[cats]
+    return items, cats, np.take(params.item_emb, items, axis=0) + np.take(params.cat_emb, cats, axis=0)
 
 
 def retrieval_stage(state: RequestState, cand_items: np.ndarray, cand_emb: np.ndarray,
@@ -857,16 +859,23 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
 
 
 def _attend_full_batch(kv, cand_q: np.ndarray, mask: np.ndarray, attn: MHTAParams):
+    """Each head's (n, L) logits reuse one per-thread scratch block and are
+    exponentiated in place; the (n, d_head) weighted sums are normalised,
+    not the (n, L) weights."""
     ks, vs = kv
-    n = cand_q.shape[0]
-    heads = np.empty((n, attn.n_heads * attn.d_head))
+    n, d_h = cand_q.shape[0], attn.d_head
     if not mask.any():
         return np.zeros((n, attn.wo.shape[1]))
+    qs = np.matmul(cand_q, attn.alpha * attn.wq)  # (n_heads, n, d_head), alpha folded in
+    logits = scratch_buf("attend.full", (n, mask.shape[0]), ks.dtype)
+    heads = np.empty((n, attn.n_heads * d_h))
     for h in range(attn.n_heads):
-        q = cand_q @ attn.wq[h]  # (n, d_head)
-        logits = attn.alpha * (q @ ks[h].T)  # (n, L)
-        logits[:, ~mask] = -np.inf  # exp gives exact zeros there
-        heads[:, h * attn.d_head : (h + 1) * attn.d_head] = _softmax_rows(logits) @ vs[h]
+        np.matmul(qs[h], ks[h].T, out=logits)
+        if not mask.all():
+            logits[:, ~mask] = -np.inf  # exp gives exact zeros there
+        logits -= logits.max(axis=1, keepdims=True)
+        np.exp(logits, out=logits)
+        np.divide(logits @ vs[h], logits.sum(axis=1, keepdims=True), out=heads[:, h * d_h : (h + 1) * d_h])
     return heads @ attn.wo
 
 

@@ -484,6 +484,38 @@ def test_predict_request_matches_per_sample_forward(variant, extra):
     np.testing.assert_allclose(got, want, atol=1e-9)
 
 
+@pytest.mark.parametrize("length", [1000, 2048])
+@pytest.mark.parametrize("padding", ["none", "some", "all"])
+@pytest.mark.parametrize("scale", [1.0, 100.0])
+def test_full_attention_over_long_windows_matches_per_sample_forward(length, padding, scale):
+    config = tiny_config(variant="FULL_TA", l_lt=2048)
+    params = init_params(config)
+    # at scale 100 logits reach the hundreds, and exp overflows unless the
+    # row max is subtracted
+    params.long_attn.wq[...] *= scale
+    params.long_attn.wk[...] *= scale
+    rng = np.random.default_rng(35)
+    base = mk_sample(rng, n_long=length)
+    pad = {"none": np.zeros(length, bool), "some": rng.random(length) < 0.3,
+           "all": np.ones(length, bool)}[padding]
+    base = Sample(**{**base.__dict__, "long_seq": tuple(
+        (0, 0, 0) if p else row for row, p in zip(base.long_seq, pad))})
+    cands = [(int(i), cat_of(int(i))) for i in rng.integers(1, 31, size=6)]
+    if scale > 1 and padding != "all":
+        state = prepare_request(request_from_sample(base), params, config)
+        _, _, emb = candidate_embeddings(cands, params, config)
+        qs = params.long_attn.alpha * np.matmul(emb, params.long_attn.wq)
+        logits = np.matmul(qs, state.lt_kv[0][:, ~pad].transpose(0, 2, 1))
+        assert logits.max() > np.log(np.finfo(np.float64).max)
+    samples = [
+        Sample(**{**base.__dict__, "target_item": it, "target_category": ct})
+        for it, ct in cands
+    ]
+    got = predict_request(request_from_sample(base), cands, params, config)
+    want = np.array([forward(s, params, config) for s in samples])
+    np.testing.assert_allclose(got, want, atol=1e-9)
+
+
 def test_predict_request_handles_empty_inputs():
     config = tiny_config(variant="ETA")
     params = init_params(config)
@@ -519,8 +551,12 @@ def test_retrieval_stage_rows_match_single_selection():
             assert sel[row].tolist() == single.indices.tolist(), (variant, extra)
 
 
-def test_scratch_is_bounded_by_the_largest_request():
-    config = tiny_config(variant="ETA", l_lt=600)
+@pytest.mark.parametrize("variant,largest", [
+    ("ETA", ("retrieval.composite", np.dtype(np.int32).str)),
+    ("FULL_TA", ("attend.full", np.dtype(np.float64).str)),
+], ids=["ETA", "FULL_TA"])
+def test_scratch_is_bounded_by_the_largest_request(variant, largest):
+    config = tiny_config(variant=variant, l_lt=600)
     params = init_params(config)
     rng = np.random.default_rng(34)
     cands = [(int(i), cat_of(int(i))) for i in rng.integers(1, 31, size=7)]
@@ -533,7 +569,8 @@ def test_scratch_is_bounded_by_the_largest_request():
             for n in lens:
                 predict_request(requests[n], cands, params, config)
             sizes = {key: buf.size for key, buf in _scratch._local.bufs.items()}
-            sizes.update({("recency", key): rev.size for key, rev in retrieval._local.recency.items()})
+            recency = getattr(retrieval._local, "recency", {})
+            sizes.update({("recency", key): rev.size for key, rev in recency.items()})
             return sizes
 
         with ThreadPoolExecutor(max_workers=1) as pool:
@@ -542,7 +579,7 @@ def test_scratch_is_bounded_by_the_largest_request():
     many = workspace(lengths)
     tags = [tag for tag, _ in many]
     assert len(tags) == len(set(tags))
-    assert many[("retrieval.composite", np.dtype(np.int32).str)] == len(cands) * lengths.max()
+    assert many[largest] == len(cands) * lengths.max()
     assert many == workspace([lengths.max()])
 
 
