@@ -22,6 +22,7 @@ into the selection itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -39,7 +40,7 @@ class MHTAParams:
     wk: np.ndarray  # (n_heads, d, d_head)
     wv: np.ndarray  # (n_heads, d, d_head)
     wo: np.ndarray  # (n_heads * d_head, d)
-    alpha: float
+    alpha: float  # a Python float, so it never widens float32 weights
 
     @property
     def n_heads(self) -> int:
@@ -73,7 +74,7 @@ def init_mhta_params(
     wk = rng.uniform(-bound, bound, shape)
     wv = rng.uniform(-bound, bound, shape)
     wo = rng.uniform(-bound, bound, (n_heads * d_head, d))
-    return MHTAParams(wq, wk, wv, wo, 1.0 / np.sqrt(d_head))
+    return MHTAParams(wq, wk, wv, wo, 1.0 / math.sqrt(d_head))
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,15 @@ hand and the training loop is plain Adam (0.9 / 0.999 / 1e-8) with L2 on
 MLP and projection weights only.  All randomness is derived from
 config.seed, so runs are reproducible bit for bit.
 
+Precision: init_params, training and the per-sample forward (the oracle
+the request path is tested against) run in float64.  load_checkpoint
+returns float32 weights, exactly what the file holds, and request
+scoring computes in the weights' dtype, so a served checkpoint runs in
+float32 from the embedding gathers to the last MLP layer.  The sigmoid
+and the probability clip stay float64: in float32, 1 - 1e-15 rounds to
+1.0 and a saturated score would leave (0, 1).  Hashing always projects in
+float64, so table and live bits come from the same float32 sums.
+
 Checkpoint layout ("HTAC"): magic, little-endian u32 version (1), u32
 length of a JSON echo of the config, the JSON bytes, then every
 parameter tensor as little-endian float32 in `param_names` order (item,
@@ -38,6 +47,7 @@ long-attention wq/wk/wv/wo, then MLP weight/bias pairs).
 from __future__ import annotations
 
 import json
+import math
 import struct
 import time
 from dataclasses import asdict, dataclass
@@ -121,7 +131,14 @@ def _derived_seed(seed: int, tag: int) -> int:
     return int(np.random.SeedSequence([seed, tag]).generate_state(1)[0])
 
 
-def _attn_from_rng(rng, d, n_heads):
+def _attn_alpha(config: ModelConfig) -> float:
+    # a Python float, not np.float64: under NumPy 2's promotion rules an
+    # np.float64 scalar widens every float32 product it touches
+    return 1.0 / math.sqrt(config.d // config.n_heads)
+
+
+def _attn_from_rng(rng, config: ModelConfig):
+    d, n_heads = config.d, config.n_heads
     d_h = d // n_heads
     bound = 1.0 / np.sqrt(d)
     shape = (n_heads, d, d_h)
@@ -130,13 +147,23 @@ def _attn_from_rng(rng, d, n_heads):
         rng.uniform(-bound, bound, shape),
         rng.uniform(-bound, bound, shape),
         rng.uniform(-bound, bound, (n_heads * d_h, d)),
-        1.0 / np.sqrt(d_h),
+        _attn_alpha(config),
     )
 
 
-def init_params(config: ModelConfig) -> ModelParams:
+def _hash_family(config: ModelConfig) -> HashFamily:
+    hash_dim = config.d // config.n_heads if config.hash_projected else config.d
+    return new_hash_family(hash_dim, config.m, config.n_rounds, config.seed)
+
+
+def _check_vocab(config: ModelConfig) -> None:
     if config.n_items < 1 or config.n_categories < 1 or config.n_users < 1:
         raise ValueError("config needs positive n_items, n_categories and n_users")
+
+
+def init_params(config: ModelConfig) -> ModelParams:
+    """Seeded float64 weights, the precision training runs at."""
+    _check_vocab(config)
     d = config.d
     bound = 1.0 / np.sqrt(d)
     rng = np.random.default_rng(_derived_seed(config.seed, 0))
@@ -153,8 +180,8 @@ def init_params(config: ModelConfig) -> ModelParams:
     time_emb = (
         rng.uniform(-bound, bound, (N_TIME_BUCKETS, d)) if config.use_time_buckets else None
     )
-    short_attn = _attn_from_rng(np.random.default_rng(_derived_seed(config.seed, 1)), d, config.n_heads)
-    long_attn = _attn_from_rng(np.random.default_rng(_derived_seed(config.seed, 2)), d, config.n_heads)
+    short_attn = _attn_from_rng(np.random.default_rng(_derived_seed(config.seed, 1)), config)
+    long_attn = _attn_from_rng(np.random.default_rng(_derived_seed(config.seed, 2)), config)
     mlp_rng = np.random.default_rng(_derived_seed(config.seed, 3))
     dims = (5 * d,) + config.mlp_widths + (1,)
     mlp_w, mlp_b = [], []
@@ -162,23 +189,35 @@ def init_params(config: ModelConfig) -> ModelParams:
         b = 1.0 / np.sqrt(fan_in)
         mlp_w.append(mlp_rng.uniform(-b, b, (fan_in, fan_out)))
         mlp_b.append(np.zeros(fan_out))
-    hash_dim = d // config.n_heads if config.hash_projected else d
-    family = new_hash_family(hash_dim, config.m, config.n_rounds, config.seed)
     return ModelParams(
         item_emb, cat_emb, user_emb, ctx_emb, time_emb,
-        short_attn, long_attn, mlp_w, mlp_b, family,
+        short_attn, long_attn, mlp_w, mlp_b, _hash_family(config),
     )
 
 
-def param_names(config: ModelConfig) -> list:
-    names = ["item_emb", "cat_emb", "user_emb", "ctx_emb"]
+def _param_shapes(config: ModelConfig) -> dict:
+    """Shape of every trainable tensor, in checkpoint order."""
+    d = config.d
+    shapes = {
+        "item_emb": (config.n_items + 1, d),
+        "cat_emb": (config.n_categories + 1, d),
+        "user_emb": (config.n_users + 1, d),
+        "ctx_emb": (config.n_contexts + 1, d),
+    }
     if config.use_time_buckets:
-        names.append("time_emb")
+        shapes["time_emb"] = (N_TIME_BUCKETS, d)
+    proj = (config.n_heads, d, d // config.n_heads)
     for block in ("short", "long"):
-        names += [f"{block}.wq", f"{block}.wk", f"{block}.wv", f"{block}.wo"]
-    for i in range(len(config.mlp_widths) + 1):
-        names += [f"mlp.w{i}", f"mlp.b{i}"]
-    return names
+        shapes.update({f"{block}.wq": proj, f"{block}.wk": proj, f"{block}.wv": proj,
+                       f"{block}.wo": (d, d)})
+    dims = (5 * d,) + config.mlp_widths + (1,)
+    for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
+        shapes.update({f"mlp.w{i}": (fan_in, fan_out), f"mlp.b{i}": (fan_out,)})
+    return shapes
+
+
+def param_names(config: ModelConfig) -> list:
+    return list(_param_shapes(config))
 
 
 def flatten(params: ModelParams, config: ModelConfig) -> dict:
@@ -276,7 +315,9 @@ def _embed_sequence(seq, now, params: ModelParams, config: ModelConfig, name: st
     out.items, out.cats = items, cats
     out.mask = items != 0
     # np.take gathers rows faster than fancy indexing; the ids are checked above
-    out.base = np.take(params.item_emb, items, axis=0) + np.take(params.cat_emb, cats, axis=0)
+    # (summed in place, so no third L x d array)
+    out.base = np.take(params.item_emb, items, axis=0)
+    out.base += np.take(params.cat_emb, cats, axis=0)
     if config.use_time_buckets:
         out.buckets = _time_buckets(ts, now)
         out.emb = out.base + params.time_emb[out.buckets]
@@ -289,7 +330,7 @@ def _embed_sequence(seq, now, params: ModelParams, config: ModelConfig, name: st
 
 def _masked_mean(emb: np.ndarray, mask: np.ndarray, d: int) -> np.ndarray:
     if not mask.any():
-        return np.zeros(d)
+        return np.zeros(d, emb.dtype)
     return emb[mask].mean(axis=0)
 
 
@@ -789,7 +830,9 @@ def candidate_embeddings(candidates, params: ModelParams, config: ModelConfig):
         raise ValueError(f"candidate item id outside [1, {config.n_items}]")
     if n and (cats.min() < 1 or cats.max() > config.n_categories):
         raise ValueError(f"candidate category id outside [1, {config.n_categories}]")
-    return items, cats, np.take(params.item_emb, items, axis=0) + np.take(params.cat_emb, cats, axis=0)
+    emb = np.take(params.item_emb, items, axis=0)
+    emb += np.take(params.cat_emb, cats, axis=0)
+    return items, cats, emb
 
 
 def retrieval_stage(state: RequestState, cand_items: np.ndarray, cand_emb: np.ndarray,
@@ -865,10 +908,10 @@ def _attend_full_batch(kv, cand_q: np.ndarray, mask: np.ndarray, attn: MHTAParam
     ks, vs = kv
     n, d_h = cand_q.shape[0], attn.d_head
     if not mask.any():
-        return np.zeros((n, attn.wo.shape[1]))
+        return np.zeros((n, attn.wo.shape[1]), cand_q.dtype)
     qs = np.matmul(cand_q, attn.alpha * attn.wq)  # (n_heads, n, d_head), alpha folded in
     logits = scratch_buf("attend.full", (n, mask.shape[0]), ks.dtype)
-    heads = np.empty((n, attn.n_heads * d_h))
+    heads = np.empty((n, attn.n_heads * d_h), ks.dtype)
     for h in range(attn.n_heads):
         np.matmul(qs[h], ks[h].T, out=logits)
         if not mask.all():
@@ -884,7 +927,7 @@ def _attend_window_batch(emb: np.ndarray, mask: np.ndarray, cand_q: np.ndarray, 
     n = cand_q.shape[0]
     rows = emb[mask]
     if rows.shape[0] == 0:
-        return np.zeros((n, vo.shape[1]))
+        return np.zeros((n, vo.shape[1]), emb.dtype)
     d = rows.shape[1]
     w = _softmax_rows((cand_q @ qk).reshape(-1, d) @ rows.T)  # (n * n_heads, valid)
     return (w @ rows).reshape(n, vo.shape[0]) @ vo
@@ -897,7 +940,7 @@ def _attend_selected_batch(emb: np.ndarray, cand_q: np.ndarray, sel: np.ndarray,
     all heads; only the selected rows are ever touched."""
     n, k = sel.shape
     if k == 0:
-        return np.zeros((n, vo.shape[1]))
+        return np.zeros((n, vo.shape[1]), emb.dtype)
     d = emb.shape[1]
     n_h = qk.shape[1] // d
     # rows are gathered in selection order, not sorted by position as in
@@ -918,7 +961,7 @@ def attention_stage(state: RequestState, cand_emb: np.ndarray, sel: Optional[np.
     n, d = cand_emb.shape
     variant = config.variant
     if variant == "DIN_SHORT":
-        return np.zeros((n, d))
+        return np.zeros((n, d), cand_emb.dtype)
     if variant in ("POOLING", "DIN_LONG_AVG"):
         return np.broadcast_to(_masked_mean(state.lt.emb, state.lt.mask, d), (n, d)).copy()
     if variant == "FULL_TA":
@@ -986,7 +1029,10 @@ def save_checkpoint(path, params: ModelParams, config: ModelConfig) -> None:
 
 
 def load_checkpoint(path):
-    """Returns (params, config).  Validates header, config echo and shapes."""
+    """Returns (params, config).  Validates header, config echo and shapes.
+
+    Parameters come back as float32, exactly the values the file holds,
+    and request scoring then runs at that precision."""
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < _CKPT_HEADER.size:
@@ -1012,18 +1058,32 @@ def load_checkpoint(path):
     except (TypeError, ValueError) as exc:
         raise FormatError(f"invalid config echo: {exc}") from exc
     off += blob_len
-    params = init_params(config)
-    flat = flatten(params, config)
-    for name in param_names(config):
-        arr = flat[name]
-        nbytes = 4 * arr.size
+    _check_vocab(config)
+    t = {}
+    for name, shape in _param_shapes(config).items():
+        size = math.prod(shape)
+        nbytes = 4 * size
         if len(data) < off + nbytes:
             raise FormatError(
                 f"truncated tensor {name!r} at offset {off}: need {nbytes} bytes,"
                 f" have {len(data) - off}"
             )
-        arr[...] = np.frombuffer(data, dtype="<f4", count=arr.size, offset=off).reshape(arr.shape)
+        # astype copies into an aligned, writable, native float32 array
+        t[name] = np.frombuffer(data, dtype="<f4", count=size, offset=off).reshape(shape).astype(
+            np.float32)
         off += nbytes
     if off != len(data):
         raise FormatError(f"{len(data) - off} trailing bytes at offset {off}")
+    alpha = _attn_alpha(config)
+    short_attn, long_attn = (
+        MHTAParams(t[f"{k}.wq"], t[f"{k}.wk"], t[f"{k}.wv"], t[f"{k}.wo"], alpha)
+        for k in ("short", "long")
+    )
+    n_layers = len(config.mlp_widths) + 1
+    params = ModelParams(
+        t["item_emb"], t["cat_emb"], t["user_emb"], t["ctx_emb"], t.get("time_emb"),
+        short_attn, long_attn,
+        [t[f"mlp.w{i}"] for i in range(n_layers)], [t[f"mlp.b{i}"] for i in range(n_layers)],
+        _hash_family(config),
+    )
     return params, config

@@ -1,0 +1,28 @@
+"""The benchmark's own output checks, at tiny sizes, on every workload.
+
+The benchmark serves weights loaded from a checkpoint, so these runs score
+through the float32 path and check it against per-sample ``forward`` (to
+1e-6) and table-backed retrieval against live hashing (bit for bit).
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
+@pytest.mark.parametrize("workload", [w["name"] for w in SPEC["workloads"]])
+def test_benchmark_output_checks_pass(workload):
+    cmd = [sys.executable] + SPEC["command"][1:] + [
+        "--workload", workload, "--seed", "5", "--seconds", "1", "--tiny",
+    ]
+    out = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    result = json.loads(out.stdout.splitlines()[-1])
+    assert result["correct"] is True, out.stdout + out.stderr
+    assert result["failed"] == 0, out.stdout + out.stderr

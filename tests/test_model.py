@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hashta import _scratch, retrieval
+from hashta import _scratch, model, retrieval
 from hashta.data import Sample
 from hashta.errors import FormatError, NumericError
 from hashta.model import (
@@ -604,6 +604,109 @@ def test_candidate_embeddings_validate_ids():
         candidate_embeddings([(0, 1)], params, config)
     with pytest.raises(ValueError):
         candidate_embeddings([(1, 99)], params, config)
+
+
+# ---------------------------------------------------------------------------
+# scoring at the checkpoint's float32 precision
+
+
+def loaded_and_widened(config, tmp_path):
+    """(float32 weights from a checkpoint, the same values as float64)."""
+    path = tmp_path / "model.htac"
+    save_checkpoint(path, init_params(config), config)
+    loaded, _ = load_checkpoint(path)
+    wide = init_params(config)
+    for name, arr in flatten(wide, config).items():
+        arr[...] = flatten(loaded, config)[name]
+    return loaded, wide
+
+
+@pytest.fixture
+def logit_dtypes(monkeypatch):
+    """The dtype of every logit array the final sigmoid receives."""
+    seen = []
+    sigmoid = model._sigmoid
+    monkeypatch.setattr(model, "_sigmoid", lambda z: seen.append(z.dtype) or sigmoid(z))
+    return seen
+
+
+def staged_scores(request, cands, params, config, item_fps=None):
+    """Every stage's float output, then the probabilities."""
+    state = prepare_request(request, params, config, item_fps)
+    items, cats, emb = candidate_embeddings(cands, params, config)
+    sel = retrieval_stage(state, items, emb, cats, params, config)
+    long_rep = attention_stage(state, emb, sel, params, config)
+    floats = [state.user_vec, state.ctx_vec, state.st.base, state.st.emb, state.lt.base,
+              state.lt.emb, emb, long_rep]
+    if state.lt_kv is not None:
+        floats += list(state.lt_kv)
+    return floats, finish_stage(state, emb, long_rep, params, config)
+
+
+@pytest.mark.parametrize("variant,extra", VARIANT_CONFIGS)
+def test_loaded_weights_score_in_float32(variant, extra, tmp_path, logit_dtypes):
+    config = tiny_config(variant=variant, **extra)
+    params, wide = loaded_and_widened(config, tmp_path)
+    assert all(a.dtype == np.float32 for a in flatten(params, config).values())
+    assert type(params.long_attn.alpha) is float
+    rng = np.random.default_rng(36)
+    base = mk_sample(rng, n_long=5, n_pad_long=3)
+    cands = [(int(i), cat_of(int(i))) for i in rng.integers(1, 31, size=9)]
+    floats, got = staged_scores(request_from_sample(base), cands, params, config)
+    assert [a.dtype for a in floats] == [np.float32] * len(floats)
+    assert logit_dtypes == [np.float32]  # the whole MLP ran in float32
+    assert got.dtype == np.float64
+    np.testing.assert_array_equal(got, predict_request(request_from_sample(base), cands, params,
+                                                       config))
+    samples = [Sample(**{**base.__dict__, "target_item": it, "target_category": ct})
+               for it, ct in cands]
+    want = np.array([forward(s, wide, config) for s in samples])
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
+    if not config.hash_projected:  # precomputed tables exist only for raw embeddings
+        table = fingerprint_items(params, config, np.array([0] + [cat_of(i) for i in range(1, 31)]))
+        tabled = predict_request(request_from_sample(base), cands, params, config, item_fps=table)
+        np.testing.assert_array_equal(tabled, got)
+
+
+@pytest.mark.parametrize("variant,extra", VARIANT_CONFIGS)
+def test_loaded_weights_keep_float32_without_candidates_or_window(variant, extra, tmp_path,
+                                                                 logit_dtypes):
+    config = tiny_config(variant=variant, **extra)
+    params, _ = loaded_and_widened(config, tmp_path)
+    rng = np.random.default_rng(37)
+    empty = request_from_sample(mk_sample(rng, n_long=0, n_short=0))
+    padded = request_from_sample(mk_sample(rng, n_long=0, n_short=0, n_pad_long=5))
+    full = request_from_sample(mk_sample(rng))
+    for request, cands in ((full, []), (empty, [(1, 1), (7, 2)]), (padded, [(3, 3)])):
+        logit_dtypes.clear()
+        floats, probs = staged_scores(request, cands, params, config)
+        assert [a.dtype for a in floats] == [np.float32] * len(floats)
+        assert logit_dtypes == [np.float32]
+        assert probs.shape == (len(cands),) and np.all((probs > 0) & (probs < 1))
+
+
+@pytest.mark.parametrize("variant,extra", VARIANT_CONFIGS)
+def test_loaded_weights_keep_saturated_scores_inside_unit_interval(variant, extra, tmp_path):
+    # float32 rounds 1 - 1e-15 to 1.0, so only a float64 clip keeps p < 1
+    config = tiny_config(variant=variant, **extra)
+    params, _ = loaded_and_widened(config, tmp_path)
+    rng = np.random.default_rng(38)
+    request = request_from_sample(mk_sample(rng, n_long=8))
+    cands = [(int(i), cat_of(int(i))) for i in rng.integers(1, 31, size=9)]
+    p = predict_request(request, cands, params, config)
+    z = np.log(p) - np.log1p(-p)
+    w, b = params.mlp_w[-1].copy(), params.mlp_b[-1].copy()
+    seen = set()
+    for sign in (1.0, -1.0):
+        # the logits are linear in the last layer: every |logit| now reaches 40,
+        # and flipping the sign sends each candidate to the other end
+        scale = np.float32(sign * 40.0 / np.abs(z).min())
+        params.mlp_w[-1][...] = w * scale
+        params.mlp_b[-1][...] = b * scale
+        sat = predict_request(request, cands, params, config)
+        assert np.all((sat > 0) & (sat < 1)), sign
+        seen.update(sat.tolist())
+    assert seen == {1e-15, 1.0 - 1e-15}
 
 
 # ---------------------------------------------------------------------------
