@@ -261,17 +261,15 @@ def clone_params(params: ModelParams) -> ModelParams:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
+    # exp(-|z|) never overflows; 1 / (1 + e) for z >= 0, e / (1 + e) below
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _leaky(x):
-    return np.where(x > 0, x, LEAKY_SLOPE * x)
+    # equals where(x > 0, x, slope * x) bit for bit while 0 < slope < 1
+    return np.maximum(x, LEAKY_SLOPE * x)
 
 
 def _dleaky(x):
@@ -894,8 +892,14 @@ def _folded_attention(attn: MHTAParams):
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """In-place softmax along the last axis."""
-    logits -= logits.max(axis=-1, keepdims=True)
+    """In-place softmax along the last axis.
+
+    The row max is taken down the columns of a transposed copy: NumPy's
+    max over many short rows costs several times more than over one long
+    contiguous axis, and a max is exact in any order."""
+    c = logits.shape[-1]
+    row_max = np.ascontiguousarray(logits.reshape(-1, c).T).max(axis=0)
+    logits -= row_max.reshape(logits.shape[:-1] + (1,))
     np.exp(logits, out=logits)
     logits /= logits.sum(axis=-1, keepdims=True)
     return logits

@@ -258,6 +258,20 @@ def test_deviation_concentrates_with_more_bits():
     assert stds[0] > stds[1] > stds[2]
 
 
+def test_table_take_copies_rows_and_checks_ids():
+    fam = new_hash_family(4, 70, 2, seed=22)  # two words per round
+    table = fingerprint_batch(np.random.default_rng(23).standard_normal((9, 4)), fam)
+    for ids in ([4, 0, 4, 8], np.array([4, 0, 4, 8], np.int32), np.array([4, 0, 4, 8])):
+        got = table.take(ids)
+        assert (got.rounds, got.bits_per_round) == (2, 70)
+        np.testing.assert_array_equal(got.words, table.words[[4, 0, 4, 8]])
+    for ids in ([], np.array([], np.int64), np.array([], np.int32)):
+        assert table.take(ids).words.shape == (0, table.words.shape[1])
+    for ids in ([9], np.array([2, 12], np.int32)):
+        with pytest.raises(IndexError):
+            table.take(ids)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 

@@ -709,6 +709,96 @@ def test_loaded_weights_keep_saturated_scores_inside_unit_interval(variant, extr
     assert seen == {1e-15, 1.0 - 1e-15}
 
 
+def test_benchmark_shaped_table_scoring_crosses_retrieval_blocks(tmp_path):
+    # the serving benchmark's request shape: a 2048-long history, 128
+    # candidates, K=48 over 2 x 32 hash bits, float32 checkpoint weights;
+    # retrieval runs several row blocks per request
+    n_items, length = 400, 2048
+    config = tiny_config(d=8, l_lt=length, k=48, m=32, n_items=n_items)
+    assert 128 > 2 * (retrieval._BLOCK_ELEMENTS // length)
+    params, wide = loaded_and_widened(config, tmp_path)
+    rng = np.random.default_rng(39)
+    history = tuple((int(i), cat_of(int(i)), BASE_TS - (24 + j) * 3600)
+                    for j, i in enumerate(rng.integers(1, n_items + 1, size=length)))
+    base = Sample(user_id=2, target_item=1, target_category=1, context_bucket=5,
+                  timestamp=BASE_TS, label=1, short_seq=history[:3], long_seq=history)
+    cands = [(int(i), cat_of(int(i))) for i in rng.choice(np.arange(1, n_items + 1), 128, replace=False)]
+    table = fingerprint_items(params, config, np.array([0] + [cat_of(i) for i in range(1, n_items + 1)]))
+    request = request_from_sample(base)
+    got = predict_request(request, cands, params, config, item_fps=table)
+    np.testing.assert_array_equal(got, predict_request(request, cands, params, config))
+    samples = [Sample(**{**base.__dict__, "target_item": it, "target_category": ct})
+               for it, ct in cands]
+    state = prepare_request(request, params, config, table)
+    items, cats, emb = candidate_embeddings(cands, params, config)
+    sel = retrieval_stage(state, items, emb, cats, params, config)
+    for row, s in enumerate(samples):
+        assert sel[row].tolist() == long_selection(s, wide, config).indices.tolist()
+    want = np.array([forward(s, wide, config) for s in samples])
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# elementwise kernels against the forms they replaced
+
+
+def leaky_oracle(x):
+    return np.where(x > 0, x, model.LEAKY_SLOPE * x)
+
+
+def sigmoid_oracle(z):
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def softmax_oracle(logits):
+    logits = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    return logits / logits.sum(axis=-1, keepdims=True)
+
+
+SPECIAL_VALUES = [0.0, -0.0, np.inf, -np.inf, np.nan, 40.0, -40.0, 745.0, -745.0, 1e-320, -1e-320]
+
+
+def with_specials(rng, shape, dtype):
+    x = (rng.standard_normal(shape) * rng.choice([1.0, 30.0, 1e3], size=shape)).astype(dtype)
+    flat = x.reshape(-1)
+    spots = rng.choice(flat.size, size=min(flat.size, 4 * len(SPECIAL_VALUES)), replace=False)
+    flat[spots] = np.resize(np.array(SPECIAL_VALUES, dtype), spots.size)
+    return x
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_leaky_and_sigmoid_equal_their_branching_oracles(dtype):
+    rng = np.random.default_rng(40)
+    for shape in [(128, 64), (300,), (7, 3, 5)]:
+        x = with_specials(rng, shape, dtype)
+        got = model._leaky(x)
+        assert got.dtype == dtype
+        assert np.array_equal(got, leaky_oracle(x), equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(leaky_oracle(x)))
+        assert np.array_equal(model._sigmoid(x), sigmoid_oracle(x), equal_nan=True)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_softmax_rows_equals_its_last_axis_oracle(dtype):
+    rng = np.random.default_rng(41)
+    for shape in [(256, 16), (128, 2, 48), (3, 1), (5, 300)]:
+        x = rng.standard_normal(shape).astype(dtype) * dtype(20)
+        specials = with_specials(rng, shape, dtype)
+        for logits in (x, specials):
+            with np.errstate(invalid="ignore"):  # inf - inf in rows holding +inf
+                want = softmax_oracle(logits.copy())
+                got = model._softmax_rows(logits.copy())
+            assert got.dtype == dtype
+            assert np.array_equal(got, want, equal_nan=True)
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 

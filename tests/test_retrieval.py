@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hashta import retrieval
 from hashta.fingerprint import fingerprint_batch, new_hash_family, simhash
 from hashta.retrieval import (
     category_hard_search,
@@ -128,6 +129,31 @@ def test_batch_rows_equal_single_queries(seed, length, k, n_queries, data):
             single = top_k_by_hamming(queries.row(row), keys, mask, k)
             assert idx[row].tolist() == single.indices.tolist()
             assert dists[row].tolist() == single.scores.tolist()
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(900, 2100),
+       st.sampled_from([(24, 2), (40, 2), (96, 1)]), st.data())
+@settings(max_examples=25, deadline=None)
+def test_batch_rows_equal_single_queries_across_row_blocks(seed, length, family, data):
+    # (40, 2) and (96, 1) span two words per fingerprint, so the keys are
+    # not densified into one word
+    rows_per_block = retrieval._BLOCK_ELEMENTS // length
+    n_queries = data.draw(st.integers(rows_per_block + 1, 3 * rows_per_block), label="n_queries")
+    valid_p = data.draw(st.sampled_from([0.01, 0.9, 1.0]), label="valid_p")
+    k = data.draw(st.sampled_from([1, 16, 48, length]), label="k")
+    rng = np.random.default_rng(seed)
+    fam = new_hash_family(5, family[0], family[1], seed=7)
+    # a small vocabulary of key vectors forces distance ties at every boundary
+    vocab = rng.standard_normal((300, 5))
+    keys = fingerprint_batch(vocab[rng.integers(0, 300, size=length)], fam)
+    queries = fingerprint_batch(vocab[rng.integers(0, 300, size=n_queries)], fam)
+    mask = rng.random(length) < valid_p
+    idx, dists = hamming_top_k_batch(queries, keys, mask, k)
+    assert idx.shape == dists.shape == (n_queries, min(k, int(mask.sum())))
+    for row in range(n_queries):
+        single = top_k_by_hamming(queries.row(row), keys, mask, k)
+        assert idx[row].tolist() == single.indices.tolist()
+        assert dists[row].tolist() == single.scores.tolist()
 
 
 def test_batch_all_masked():
