@@ -1,46 +1,47 @@
-"""Hash-based target attention over long behavior sequences."""
+"""Hash-based target attention over long behavior sequences.
 
-from .attention import (
-    AttentionInput,
-    MHTAParams,
-    attention_gradients,
-    eta_attention,
-    init_mhta_params,
-    mhta,
-    single_head_attention,
-)
+The root re-exports what the CLI, hashta.bench, scripts/ and perfbench/ call.
+"""
+
 from .errors import FormatError, NumericError
-from .fingerprint import (
-    Fingerprint,
-    FingerprintTable,
-    HashFamily,
-    fingerprint_batch,
-    hamming,
-    load_table,
-    new_hash_family,
-    save_table,
-    simhash,
-)
+from .fingerprint import FingerprintTable, load_table, save_table
 from .model import (
     ModelConfig,
     ModelParams,
     Request,
     auc,
     evaluate,
+    fingerprint_items,
     forward,
     init_params,
     load_checkpoint,
-    loss_and_gradients,
+    long_selection,
     predict_request,
     save_checkpoint,
     train,
+    verify_item_fingerprints,
 )
-from .retrieval import (
-    TopKResult,
-    category_hard_search,
-    recall_at_k,
-    top_k_by_dot,
-    top_k_by_hamming,
-)
+
+__all__ = [
+    "FingerprintTable",
+    "FormatError",
+    "ModelConfig",
+    "ModelParams",
+    "NumericError",
+    "Request",
+    "auc",
+    "evaluate",
+    "fingerprint_items",
+    "forward",
+    "init_params",
+    "load_checkpoint",
+    "load_table",
+    "long_selection",
+    "predict_request",
+    "save_checkpoint",
+    "save_table",
+    "train",
+    "verify_item_fingerprints",
+]
 
 __version__ = "0.1.0"

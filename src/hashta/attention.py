@@ -1,4 +1,4 @@
-"""Target attention over a behavior sequence, full or retrieval-restricted.
+"""Multi-head target attention over a behavior sequence, per sample.
 
 One query (the candidate item embedding) attends over the sequence rows.
 Per head: Q = t W_q, K = S W_k, V = S W_v, weights = softmax(alpha * K Q)
@@ -7,29 +7,20 @@ by W_o.  Padding positions are excluded from the softmax, a fully masked
 or empty sequence yields the zero vector, and the softmax is computed
 with a max shift so large logits cannot overflow.
 
-The restricted variant fingerprints the raw target and sequence
-embeddings with a shared hash family, keeps the top-k rows by Hamming
-distance, and runs the same attention over the kept rows only.  Kept
-rows are gathered in ascending sequence order, so with k >= L the
-restricted path executes the exact floating-point operations of the full
-path and the two are bit-identical, not merely close.
-
-Gradients are analytic (derived by hand, checked against central
-differences in the tests).  The top-k selection is treated as a fixed
-gather: gradients flow into the selected rows and the projections, never
-into the selection itself.
+This is the per-sample forward and backward that training and the
+scoring oracle use.  Retrieving variants pass only their selected rows,
+in ascending sequence order, so with k >= L they run the exact
+floating-point operations of full attention.  Gradients are analytic
+(derived by hand, checked against central differences in the tests);
+the selection is a fixed gather, so gradients flow into the selected
+rows and the projections, never into the selection itself.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
-
-from .fingerprint import FingerprintTable, HashFamily, fingerprint_batch, simhash
-from .retrieval import TopKResult, top_k_by_hamming
 
 
 @dataclass(frozen=True)
@@ -53,28 +44,6 @@ class MHTAParams:
     @property
     def d_head(self) -> int:
         return self.wq.shape[2]
-
-
-def init_mhta_params(
-    d: int, n_heads: int, seed: int, d_head: Optional[int] = None
-) -> MHTAParams:
-    """Seeded uniform(-1/sqrt(d), 1/sqrt(d)) init; d_head defaults to d / n_heads."""
-    if d < 1 or n_heads < 1:
-        raise ValueError(f"d and n_heads must be positive, got d={d}, n_heads={n_heads}")
-    if d_head is None:
-        if d % n_heads != 0:
-            raise ValueError(f"d={d} not divisible by n_heads={n_heads}")
-        d_head = d // n_heads
-    if d_head < 1:
-        raise ValueError(f"d_head must be positive, got {d_head}")
-    rng = np.random.default_rng(seed)
-    bound = 1.0 / np.sqrt(d)
-    shape = (n_heads, d, d_head)
-    wq = rng.uniform(-bound, bound, shape)
-    wk = rng.uniform(-bound, bound, shape)
-    wv = rng.uniform(-bound, bound, shape)
-    wo = rng.uniform(-bound, bound, (n_heads * d_head, d))
-    return MHTAParams(wq, wk, wv, wo, 1.0 / math.sqrt(d_head))
 
 
 @dataclass(frozen=True)
@@ -108,22 +77,6 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return w
 
 
-def single_head_attention(query, keys, values, alpha: float, valid_mask) -> np.ndarray:
-    """One attention head: softmax(alpha * K q) applied to V."""
-    q = np.asarray(query, dtype=np.float64)
-    k = np.asarray(keys, dtype=np.float64)
-    v = np.asarray(values, dtype=np.float64)
-    mask = np.asarray(valid_mask, dtype=bool)
-    if k.ndim != 2 or q.shape != (k.shape[1],):
-        raise ValueError(f"query shape {q.shape} does not match keys {k.shape}")
-    if v.ndim != 2 or v.shape[0] != k.shape[0]:
-        raise ValueError(f"values shape {v.shape} does not match keys {k.shape}")
-    if mask.shape != (k.shape[0],):
-        raise ValueError(f"mask shape {mask.shape} does not match keys {k.shape}")
-    w = masked_softmax(alpha * (k @ q), mask)
-    return w @ v
-
-
 class _Cache:
     __slots__ = ("target", "seq", "mask", "q", "k", "v", "w", "concat")
 
@@ -149,11 +102,6 @@ def mhta_with_cache(inp: AttentionInput, params: MHTAParams):
     return concat @ params.wo, cache
 
 
-def mhta(inp: AttentionInput, params: MHTAParams) -> np.ndarray:
-    out, _ = mhta_with_cache(inp, params)
-    return out
-
-
 @dataclass
 class AttentionGrads:
     wq: np.ndarray
@@ -165,7 +113,7 @@ class AttentionGrads:
 
 
 def mhta_backward(cache: _Cache, params: MHTAParams, upstream: np.ndarray) -> AttentionGrads:
-    """Gradients of upstream . mhta(...) w.r.t. weights and inputs."""
+    """Gradients of upstream . (mhta_with_cache output) w.r.t. weights and inputs."""
     t, s = cache.target, cache.seq
     n_h, d_h = params.n_heads, params.d_head
     g = AttentionGrads(
@@ -191,65 +139,3 @@ def mhta_backward(cache: _Cache, params: MHTAParams, upstream: np.ndarray) -> At
         g.wv[h] = s.T @ g_v
         g.sequence += g_k @ params.wk[h].T + g_v @ params.wv[h].T
     return g
-
-
-def attention_gradients(
-    inp: AttentionInput, params: MHTAParams, upstream: np.ndarray
-) -> AttentionGrads:
-    up = np.asarray(upstream, dtype=np.float64)
-    if up.shape != (params.d,):
-        raise ValueError(f"upstream shape {up.shape}, expected ({params.d},)")
-    _, cache = mhta_with_cache(inp, params)
-    return mhta_backward(cache, params, up)
-
-
-def restrict(inp: AttentionInput, indices: np.ndarray) -> AttentionInput:
-    """Attention input over the selected rows, kept in ascending sequence order."""
-    sel = np.sort(np.asarray(indices, dtype=np.int64))
-    seq = np.asarray(inp.sequence, dtype=np.float64)[sel]
-    return AttentionInput(inp.target, seq, np.ones(sel.shape[0], dtype=bool))
-
-
-def eta_attention(
-    inp: AttentionInput,
-    params: MHTAParams,
-    family: HashFamily,
-    k: int,
-    precomputed_key_fps: Optional[FingerprintTable] = None,
-    hash_projected: bool = False,
-):
-    """Hash, retrieve top-k by Hamming distance, attend over the kept rows.
-
-    Returns (output, TopKResult).  By default the raw d-dimensional
-    embeddings are hashed, which is what makes precomputed per-item
-    fingerprint tables possible.  With hash_projected=True the head-0
-    projected query/keys are hashed instead (family dim must equal
-    d_head); that variant cannot use a precomputed table."""
-    t, s, mask = _check_input(inp, params.d)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if hash_projected:
-        if precomputed_key_fps is not None:
-            raise ValueError("precomputed fingerprints are per-item; they cannot back hash_projected")
-        if family.dim != params.d_head:
-            raise ValueError(
-                f"family dim {family.dim} must equal d_head {params.d_head} for hash_projected"
-            )
-        query_fp = simhash(t @ params.wq[0], family)
-        key_fps = fingerprint_batch(s @ params.wk[0], family)
-    else:
-        if family.dim != params.d:
-            raise ValueError(f"family dim {family.dim} must equal d {params.d}")
-        query_fp = simhash(t, family)
-        if precomputed_key_fps is not None:
-            if len(precomputed_key_fps) != s.shape[0]:
-                raise ValueError(
-                    f"precomputed table has {len(precomputed_key_fps)} rows,"
-                    f" sequence has {s.shape[0]}"
-                )
-            key_fps = precomputed_key_fps
-        else:
-            key_fps = fingerprint_batch(s, family)
-    top = top_k_by_hamming(query_fp, key_fps, mask, k)
-    out = mhta(restrict(AttentionInput(t, s, mask), top.indices), params)
-    return out, top

@@ -111,8 +111,8 @@ def environment_note() -> dict:
 def variant_label(variant: str, l_lt: int, k: int) -> str:
     if variant == "ETA":
         return f"TA/HASH/{l_lt}/{k}"
-    if variant == "ETA_DOT":
-        return f"TA/DOT/{l_lt}/{k}"
+    if variant == "ETA_ANGULAR":
+        return f"TA/ANG/{l_lt}/{k}"
     if variant == "SIM_HARD":
         return f"TA/CAT/{l_lt}/{k}"
     if variant == "FULL_TA":
@@ -145,6 +145,30 @@ class BenchRecord:
 
 
 CSV_FIELDS = list(BenchRecord.__dataclass_fields__)
+
+
+def _latency_stats(totals: np.ndarray) -> dict:
+    """Mean, median and 95th percentile of per-request microseconds."""
+    return {
+        "mean_us": float(totals.mean()),
+        "p50_us": float(np.percentile(totals, 50)),
+        "p95_us": float(np.percentile(totals, 95)),
+    }
+
+
+def _record(config: M.ModelConfig, n_candidates: int, n_requests: int, warmup: int,
+            auc: float = float("nan"), **measured) -> BenchRecord:
+    """One report row for a config; latency fields not measured are NaN."""
+    fields = dict.fromkeys(
+        ("mean_us", "p50_us", "p95_us", "retrieval_mean_us", "attention_mean_us"), float("nan")
+    )
+    fields.update(measured)
+    return BenchRecord(
+        label=variant_label(config.variant, config.l_lt, config.k),
+        variant=config.variant, l_lt=config.l_lt, k=config.k,
+        n_candidates=n_candidates, d=config.d, m=config.m, n_rounds=config.n_rounds,
+        auc=auc, n_requests=n_requests, warmup=warmup, **fields,
+    )
 
 
 def simulated_requests(config: M.ModelConfig, n: int, seed: int, n_candidates: int):
@@ -212,11 +236,7 @@ def measure_scoring(params, config: M.ModelConfig, requests, candidate_lists,
                 t0 = time.perf_counter_ns()
                 M.predict_request(req, cands, params, config, item_fps=item_fps)
                 totals[i] = (time.perf_counter_ns() - t0) / 1e3
-    out = {
-        "mean_us": float(totals.mean()),
-        "p50_us": float(np.percentile(totals, 50)),
-        "p95_us": float(np.percentile(totals, 95)),
-    }
+    out = _latency_stats(totals)
     out["retrieval_mean_us"] = float(retrievals.mean()) if stage_times else float("nan")
     out["attention_mean_us"] = float(attentions.mean()) if stage_times else float("nan")
     out["stage_inner"] = 1 if stage_times else 0
@@ -229,7 +249,7 @@ def serving_fingerprints(params, config: M.ModelConfig):
     Simulated candidates and histories draw from the full catalog with the
     canonical item-to-category layout, so the table covers every id the
     scorer will see."""
-    if config.variant != "ETA" or config.hash_projected:
+    if config.variant != "ETA":
         return None
     ids = np.arange(1, config.n_items + 1)
     cats = np.concatenate([[0], item_category_of(ids, config.n_categories)])
@@ -254,13 +274,7 @@ def run_cell(config: M.ModelConfig, samples, n_candidates: int, n_requests: int,
     stats = measure_scoring(params, config, requests, cand_lists, n_requests, warmup,
                             stage_times=stage_times,
                             item_fps=serving_fingerprints(params, config))
-    return BenchRecord(
-        label=variant_label(config.variant, config.l_lt, config.k),
-        variant=config.variant, l_lt=config.l_lt, k=config.k,
-        n_candidates=n_candidates, d=config.d, m=config.m, n_rounds=config.n_rounds,
-        auc=auc_value, n_requests=n_requests, warmup=warmup,
-        **stats,
-    )
+    return _record(config, n_candidates, n_requests, warmup, auc=auc_value, **stats)
 
 
 def run_ablation(base: M.ModelConfig, cells, samples, n_candidates: int,
@@ -274,18 +288,8 @@ def run_ablation(base: M.ModelConfig, cells, samples, n_candidates: int,
                 run_cell(config, samples, n_candidates, n_requests, warmup, log=log)
             )
         except Exception as exc:  # keep the sweep alive, report the cell
-            records.append(
-                BenchRecord(
-                    label=variant_label(config.variant, config.l_lt, config.k),
-                    variant=config.variant, l_lt=config.l_lt, k=config.k,
-                    n_candidates=n_candidates, d=config.d, m=config.m,
-                    n_rounds=config.n_rounds, auc=float("nan"),
-                    n_requests=n_requests, warmup=warmup,
-                    mean_us=float("nan"), p50_us=float("nan"), p95_us=float("nan"),
-                    retrieval_mean_us=float("nan"), attention_mean_us=float("nan"),
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            )
+            records.append(_record(config, n_candidates, n_requests, warmup,
+                                   error=f"{type(exc).__name__}: {exc}"))
     return records
 
 
@@ -340,17 +344,7 @@ def run_comparison(base: M.ModelConfig, cells, n_candidates: int,
     jobs = _timing_jobs(configs, [n_candidates] * len(configs), n_requests, pool_size)
     totals = measure_paired(jobs, n_requests, warmup)
     return [
-        BenchRecord(
-            label=variant_label(config.variant, config.l_lt, config.k),
-            variant=config.variant, l_lt=config.l_lt, k=config.k,
-            n_candidates=n_candidates, d=config.d, m=config.m,
-            n_rounds=config.n_rounds, auc=float("nan"),
-            n_requests=n_requests, warmup=warmup,
-            mean_us=float(t.mean()),
-            p50_us=float(np.percentile(t, 50)),
-            p95_us=float(np.percentile(t, 95)),
-            retrieval_mean_us=float("nan"), attention_mean_us=float("nan"),
-        )
+        _record(config, n_candidates, n_requests, warmup, **_latency_stats(t))
         for config, t in zip(configs, totals)
     ]
 
@@ -404,19 +398,10 @@ def run_scaling(base: M.ModelConfig, lengths, n_candidates,
                     M.attention_stage(state, cand_emb, sel, params, config)
                 attentions[j, i] = (time.perf_counter_ns() - t0) / 1e3 / STAGE_INNER
     return [
-        BenchRecord(
-            label=variant_label(config.variant, config.l_lt, config.k),
-            variant=config.variant, l_lt=l_lt, k=config.k, n_candidates=nc,
-            d=config.d, m=config.m, n_rounds=config.n_rounds, auc=float("nan"),
-            n_requests=n_requests, warmup=warmup,
-            mean_us=float(totals[j].mean()),
-            p50_us=float(np.percentile(totals[j], 50)),
-            p95_us=float(np.percentile(totals[j], 95)),
-            retrieval_mean_us=float(retrievals[j].mean()),
-            attention_mean_us=float(attentions[j].mean()),
-            stage_inner=STAGE_INNER,
-        )
-        for j, ((l_lt, nc), config) in enumerate(zip(grid, configs))
+        _record(config, nc, n_requests, warmup, **_latency_stats(totals[j]),
+                retrieval_mean_us=float(retrievals[j].mean()),
+                attention_mean_us=float(attentions[j].mean()), stage_inner=STAGE_INNER)
+        for j, ((_, nc), config) in enumerate(zip(grid, configs))
     ]
 
 

@@ -42,7 +42,7 @@ def _read_config(path):
 
 _MODEL_KEYS = {
     "d": int, "l_st": int, "l_lt": int, "k": int, "n_heads": int, "m": int,
-    "n_rounds": int, "variant": str, "use_time_buckets": bool, "hash_projected": bool,
+    "n_rounds": int, "variant": str, "use_time_buckets": bool,
     "mlp_widths": "int_list", "seed": int, "learning_rate": float, "l2": float,
     "batch_size": int, "epochs": int,
 }

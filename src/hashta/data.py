@@ -561,22 +561,3 @@ def generate_synthetic(spec: SyntheticSpec):
             )
         )
     return events, interests
-
-
-def interest_oracle(events, gap_days: int, top_n: int) -> dict:
-    """Frequency count of categories among events older than the gap
-    (relative to each user's last event); top_n per user."""
-    by_user: dict = {}
-    for e in events:
-        by_user.setdefault(e.user_id, []).append(e)
-    out = {}
-    for user, evs in by_user.items():
-        evs = sorted(evs, key=lambda e: e.timestamp)
-        horizon = evs[-1].timestamp - gap_days * SECONDS_PER_DAY
-        counts: dict = {}
-        for e in evs[:-1]:
-            if e.timestamp < horizon:
-                counts[e.category_id] = counts.get(e.category_id, 0) + 1
-        ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        out[user] = tuple(sorted(c for c, _ in ranked[:top_n]))
-    return out

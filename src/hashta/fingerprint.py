@@ -128,19 +128,6 @@ class Fingerprint:
     rounds: int
     bits_per_round: int
 
-    def to_bytes(self) -> bytes:
-        return self.words.astype("<u8").tobytes()
-
-    @classmethod
-    def from_bytes(cls, data: bytes, rounds: int, bits_per_round: int) -> "Fingerprint":
-        expected = 8 * words_per_fingerprint(bits_per_round, rounds)
-        if len(data) != expected:
-            raise FormatError(
-                f"fingerprint payload is {len(data)} bytes, expected {expected}"
-            )
-        words = np.frombuffer(data, dtype="<u8").astype(np.uint64)
-        return cls(words, rounds, bits_per_round)
-
 
 @dataclass(frozen=True)
 class FingerprintTable:
@@ -206,20 +193,6 @@ def _check_comparable(a, b) -> None:
             f"fingerprint shapes differ: ({a.rounds} rounds, {a.bits_per_round} bits)"
             f" vs ({b.rounds} rounds, {b.bits_per_round} bits)"
         )
-
-
-def hamming(a: Fingerprint, b: Fingerprint) -> int:
-    """Bit-level Hamming distance over all rounds, via XOR + popcount."""
-    _check_comparable(a, b)
-    return int(np.bitwise_count(a.words ^ b.words).sum())
-
-
-def hamming_distances(query: Fingerprint, table: FingerprintTable) -> np.ndarray:
-    """Distance from one query to every row of a table, as int64."""
-    _check_comparable(query, table)
-    return np.bitwise_count(table.words ^ query.words[None, :]).sum(
-        axis=1, dtype=np.int64
-    )
 
 
 def table_to_bytes(table: FingerprintTable) -> bytes:

@@ -18,7 +18,8 @@ The `variant` field picks the long-window representation:
                 every forward, so training always sees fresh bits)
   FULL_TA       attention over the whole long window
   SIM_HARD      attention over a category-match top-k with recency backfill
-  ETA_DOT       attention over an exact dot-product top-k
+  ETA_ANGULAR   attention over the exact top-k by cosine, the quantity the
+                hash approximates
 
 The hash family always hashes the item + category embedding, never the
 age component, so a per-item fingerprint table precomputed from the same
@@ -61,10 +62,12 @@ from .data import Sample, SECONDS_PER_DAY
 from ._scratch import scratch_buf
 from .errors import FormatError, NumericError
 from .fingerprint import FingerprintTable, HashFamily, fingerprint_batch, new_hash_family, simhash
-from .retrieval import TopKResult, category_hard_search, hamming_top_k_batch, top_k_by_dot, top_k_by_hamming
+from .retrieval import (
+    TopKResult, angular_top_k_batch, category_hard_search, hamming_top_k_batch, top_k_by_hamming,
+)
 
-VARIANTS = ("POOLING", "DIN_SHORT", "DIN_LONG_AVG", "ETA", "FULL_TA", "SIM_HARD", "ETA_DOT")
-SELECTING_VARIANTS = ("ETA", "SIM_HARD", "ETA_DOT")
+VARIANTS = ("POOLING", "DIN_SHORT", "DIN_LONG_AVG", "ETA", "FULL_TA", "SIM_HARD", "ETA_ANGULAR")
+SELECTING_VARIANTS = ("ETA", "SIM_HARD", "ETA_ANGULAR")
 
 N_TIME_BUCKETS = 10
 LEAKY_SLOPE = 0.01
@@ -86,7 +89,6 @@ class ModelConfig:
     n_rounds: int = 2
     variant: str = "ETA"
     use_time_buckets: bool = False
-    hash_projected: bool = False
     mlp_widths: tuple = (64, 32)
     seed: int = 7
     learning_rate: float = 2e-3
@@ -152,8 +154,7 @@ def _attn_from_rng(rng, config: ModelConfig):
 
 
 def _hash_family(config: ModelConfig) -> HashFamily:
-    hash_dim = config.d // config.n_heads if config.hash_projected else config.d
-    return new_hash_family(hash_dim, config.m, config.n_rounds, config.seed)
+    return new_hash_family(config.d, config.m, config.n_rounds, config.seed)
 
 
 def _check_vocab(config: ModelConfig) -> None:
@@ -335,20 +336,17 @@ def _masked_mean(emb: np.ndarray, mask: np.ndarray, d: int) -> np.ndarray:
 def _select_long(target, lt: _SeqData, params: ModelParams, config: ModelConfig,
                  target_category: int, item_fps: Optional[FingerprintTable]) -> TopKResult:
     if config.variant == "ETA":
-        if config.hash_projected:
-            qfp = simhash(target @ params.long_attn.wq[0], params.family)
-            kfps = fingerprint_batch(lt.base @ params.long_attn.wk[0], params.family)
+        qfp = simhash(target, params.family)
+        if item_fps is not None:
+            kfps = item_fps.take(lt.items)
         else:
-            qfp = simhash(target, params.family)
-            if item_fps is not None:
-                kfps = item_fps.take(lt.items)
-            else:
-                kfps = fingerprint_batch(lt.base, params.family)
+            kfps = fingerprint_batch(lt.base, params.family)
         return top_k_by_hamming(qfp, kfps, lt.mask, config.k)
     if config.variant == "SIM_HARD":
         return category_hard_search(target_category, lt.cats, lt.mask, config.k)
-    if config.variant == "ETA_DOT":
-        return top_k_by_dot(target, lt.base, lt.mask, config.k, metric="dot")
+    if config.variant == "ETA_ANGULAR":
+        idx, cos = angular_top_k_batch(target[None, :], lt.base, lt.mask, config.k)
+        return TopKResult(idx[0], cos[0], config.k, int(lt.mask.sum()))
     raise ValueError(f"variant {config.variant} does not retrieve")
 
 
@@ -715,28 +713,12 @@ def fingerprint_items(params: ModelParams, config: ModelConfig, item_cats: np.nd
     """Per-item fingerprint table over ids 0..n_items.
 
     item_cats[i] is the category of item i (0 for the padding row)."""
-    if config.hash_projected:
-        raise ValueError("precomputed tables are unavailable with hash_projected")
     cats = np.asarray(item_cats, dtype=np.int64)
     if cats.shape != (config.n_items + 1,):
         raise ValueError(f"item_cats shape {cats.shape}, expected ({config.n_items + 1},)")
     vecs = params.item_emb + params.cat_emb[cats]
     vecs[0] = 0.0
     return fingerprint_batch(vecs, params.family)
-
-
-def item_categories_from_samples(samples, config: ModelConfig) -> np.ndarray:
-    """item -> category array recovered from sample targets and behaviors."""
-    cats = np.zeros(config.n_items + 1, dtype=np.int64)
-    for s in samples:
-        cats[s.target_item] = s.target_category
-        for item, cat, _ in s.short_seq:
-            if item:
-                cats[item] = cat
-        for item, cat, _ in s.long_seq:
-            if item:
-                cats[item] = cat
-    return cats
 
 
 def verify_item_fingerprints(table: FingerprintTable, params: ModelParams,
@@ -772,13 +754,6 @@ class Request:
     long_seq: tuple
 
 
-def request_from_sample(sample: Sample) -> Request:
-    return Request(
-        sample.user_id, sample.context_bucket, sample.timestamp,
-        sample.short_seq, sample.long_seq,
-    )
-
-
 class RequestState:
     __slots__ = ("user_vec", "ctx_vec", "st", "lt", "lt_kv", "long_fps", "item_fps")
 
@@ -809,9 +784,7 @@ def prepare_request(request: Request, params: ModelParams, config: ModelConfig,
     state.long_fps = None
     state.item_fps = item_fps
     if config.variant == "ETA":
-        if config.hash_projected:
-            state.long_fps = fingerprint_batch(state.lt.base @ params.long_attn.wk[0], params.family)
-        elif item_fps is not None:
+        if item_fps is not None:
             state.long_fps = item_fps.take(state.lt.items)
         else:
             state.long_fps = fingerprint_batch(state.lt.base, params.family)
@@ -847,9 +820,7 @@ def retrieval_stage(state: RequestState, cand_items: np.ndarray, cand_emb: np.nd
     lt = state.lt
     length = lt.mask.shape[0]
     if variant == "ETA":
-        if config.hash_projected:
-            qfps = fingerprint_batch(cand_emb @ params.long_attn.wq[0], params.family)
-        elif state.item_fps is not None:
+        if state.item_fps is not None:
             qfps = state.item_fps.take(cand_items)
         else:
             qfps = fingerprint_batch(cand_emb, params.family)
@@ -869,12 +840,9 @@ def retrieval_stage(state: RequestState, cand_items: np.ndarray, cand_emb: np.nd
         )
         order = np.argsort(np.take_along_axis(composite, part, axis=1), axis=1, kind="stable")
         return np.take_along_axis(part, order, axis=1).astype(np.int64)
-    if variant == "ETA_DOT":
-        rows = [
-            top_k_by_dot(cand_emb[i], lt.base, lt.mask, config.k, metric="dot").indices
-            for i in range(cand_emb.shape[0])
-        ]
-        return np.stack(rows) if rows else np.empty((0, 0), np.int64)
+    if variant == "ETA_ANGULAR":
+        idx, _ = angular_top_k_batch(cand_emb, lt.base, lt.mask, config.k)
+        return idx
     return None
 
 
@@ -1053,6 +1021,11 @@ def load_checkpoint(path):
         cfg_dict = json.loads(data[off : off + blob_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"unreadable config echo at offset {off}: {exc}") from exc
+    if not isinstance(cfg_dict, dict):
+        raise FormatError(f"config echo at offset {off} is not a JSON object")
+    # checkpoints written before the option was removed echo it as false
+    if cfg_dict.pop("hash_projected", False) is not False:
+        raise FormatError("checkpoint uses hash_projected retrieval, which was removed")
     known = {f.name for f in ModelConfig.__dataclass_fields__.values()}
     unknown = set(cfg_dict) - known
     if unknown:

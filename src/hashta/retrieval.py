@@ -1,7 +1,7 @@
 """Top-k selection over a behavior sequence.
 
 All selectors share one ordering contract: candidates are ranked by
-score (smaller Hamming distance is better, larger dot/cosine is better),
+score (smaller Hamming distance is better, larger cosine is better),
 and ties are broken in favor of the larger sequence position, i.e. the
 more recent behavior.  Padding positions (valid_mask False) never appear
 in the result.  When k is at least the number of valid positions, every
@@ -9,11 +9,10 @@ valid position is returned, so a saturated retrieval degrades to the
 full sequence.
 
 The Hamming selector ranks by total distance across all hash rounds and
-never materializes a full sort.  top_k_by_hamming, the single-query
-reference, collapses score and position into one int64 key
-(distance * L + reversed position) and partitions it.  The batched
-selector serves requests, and every one of its passes reads contiguous,
-cache-resident operands:
+never materializes a full sort.  The batched selector serves requests,
+and top_k_by_hamming, the per-sample form training and evaluation use,
+is its one-row call.  Every pass reads contiguous, cache-resident
+operands:
 
 - Row blocks sized for L2.  Candidate rows are processed in blocks whose
   XOR, popcount and composite buffers together hold about 64k elements
@@ -32,7 +31,22 @@ cache-resident operands:
   (every bit below the sign set) in place of their low bits, and OR-ing
   that into any key gives it back, so masking needs no scatter.
 
-The dot-product selector is a reference baseline and just sorts.
+The angular selector is exact top-k by cosine, the quantity SimHash
+approximates (two vectors at angle theta agree on a hash bit with
+probability 1 - theta/pi), and ranks cosines at float32 resolution.
+Cosines are computed in float64 from unit vectors with one GEMM per row
+block, then rounded to float32.  BLAS does not compute a dot product the
+same way at every position of a matrix, or in a one-row and a many-row
+call: with OpenBLAS 0.3.31, repeated key rows got unequal float64
+cosines in 152 of 200 random (queries x keys) products, and a one-row
+call differed from the same row of the batch in all 200.  The rounding
+absorbs those last-bit differences, so repeated keys tie exactly and
+their order is recency, and a query selects the same rows whatever batch
+it comes in.  The rounded cosine's sortable integer form, shifted above
+the position bits, is an int64 key that partitions and decodes like the
+Hamming key.  Padding columns are dropped before the product; zero-norm
+keys get cosine -inf, and a zero-norm query gets cosine 0 everywhere,
+so its row is pure recency.
 """
 
 from __future__ import annotations
@@ -92,37 +106,6 @@ def _check_mask(valid_mask, length: int) -> np.ndarray:
     if mask.shape != (length,):
         raise ValueError(f"valid_mask shape {mask.shape} does not match {length} keys")
     return mask
-
-
-def _pairwise_hamming(qwords: np.ndarray, kwords: np.ndarray) -> np.ndarray:
-    """Total Hamming distance for every query/key row pair, (n_q, n_k).
-
-    Returns a small unsigned integer dtype (uint8 for one-word
-    fingerprints, uint16 otherwise) backed by per-thread scratch: valid
-    until this thread's next call, so callers must copy anything they
-    keep.  Accumulates one packed word at a time so the XOR/popcount
-    inner loops run over contiguous rows; a single 3-D broadcast would
-    put the tiny word axis innermost and run an order of magnitude
-    slower.  uint16 cannot overflow below 65,535 total bits (a
-    fingerprint that wide would not fit the packing layout anyway).
-    """
-    n_q, n_words = qwords.shape
-    n_k = kwords.shape[0]
-    if n_q == 0 or n_k == 0 or n_words == 0:
-        return np.zeros((n_q, n_k), dtype=np.uint16)
-    kt = np.ascontiguousarray(kwords.T)
-    buf = _scratch_buf("xor", (n_q, n_k), np.uint64)
-    pc = _scratch_buf("popcount", (n_q, n_k), np.uint8)
-    np.bitwise_xor(qwords[:, 0, None], kt[0][None, :], out=buf)
-    np.bitwise_count(buf, out=pc)
-    if n_words == 1:
-        return pc
-    dist = _scratch_buf("distance", (n_q, n_k), np.uint16)
-    np.copyto(dist, pc)
-    for w in range(1, n_words):
-        np.bitwise_xor(qwords[:, w, None], kt[w][None, :], out=buf)
-        dist += np.bitwise_count(buf, out=pc)
-    return dist
 
 
 def _recency_keys(length: int, dtype) -> np.ndarray:
@@ -192,22 +175,17 @@ def _select(composite: np.ndarray, k_eff: int) -> np.ndarray:
 def top_k_by_hamming(
     query: Fingerprint, keys: Keys, valid_mask, k: int
 ) -> TopKResult:
-    """k nearest keys by total Hamming distance over all rounds."""
+    """k nearest keys by total Hamming distance over all rounds: one row
+    of hamming_top_k_batch, so every caller selects with one routine."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     table = _as_table(keys)
-    length = len(table)
-    mask = _check_mask(valid_mask, length)
-    if length == 0:
+    mask = _check_mask(valid_mask, len(table))
+    if len(table) == 0:  # an empty key list has no fingerprint shape to compare
         return TopKResult(np.empty(0, np.int64), np.empty(0, np.int64), k, 0)
-    _check_comparable(query, table)
-    dist = _pairwise_hamming(query.words[None, :], table.words)[0].astype(np.int64)
-    # one strict integer order: distance first, then recency (larger index wins)
-    composite = dist * np.int64(length) + np.arange(length - 1, -1, -1, dtype=np.int64)
-    composite[~mask] = _SENTINEL
-    n_valid = int(mask.sum())
-    chosen = _select(composite, min(k, n_valid))
-    return TopKResult(chosen, dist[chosen], k, n_valid)
+    queries = FingerprintTable(query.words[None, :], query.rounds, query.bits_per_round)
+    idx, dist = hamming_top_k_batch(queries, table, mask, k)
+    return TopKResult(idx[0], dist[0], k, int(np.count_nonzero(mask)))
 
 
 def hamming_top_k_batch(
@@ -216,7 +194,7 @@ def hamming_top_k_batch(
     """Row-wise top-k for a batch of queries against one shared key table.
 
     Returns (indices, distances) of shape (n_queries, k_eff), each row
-    ordered exactly as top_k_by_hamming would order it.
+    ordered by distance, ties to the more recent position.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -256,37 +234,76 @@ def hamming_top_k_batch(
     return idx, (top >> shift).astype(np.int64)
 
 
-def top_k_by_dot(
-    query: np.ndarray, keys: np.ndarray, valid_mask, k: int, metric: str = "dot"
-) -> TopKResult:
-    """Exact k best keys by dot product or cosine, same tie rule as above."""
+def _sortable(bits: np.ndarray, sign=None) -> np.ndarray:
+    """In place: float32 bit patterns (as int32) to ints that order as the
+    floats do, -inf lowest; the map is its own inverse.  sign, if given,
+    is an int32 work array of the same shape."""
+    sign = np.right_shift(bits, 31, out=sign)
+    sign &= 0x7FFFFFFF
+    bits ^= sign
+    return bits
+
+
+def _unit_rows(x: np.ndarray):
+    """(float64 rows scaled to unit norm, zero rows left zero, norms)."""
+    x = np.asarray(x, dtype=np.float64)
+    norms = np.sqrt(np.einsum("ij,ij->i", x, x))
+    return x / np.where(norms > 0.0, norms, 1.0)[:, None], norms
+
+
+def angular_top_k_batch(queries, keys, valid_mask, k: int):
+    """Row-wise top-k by cosine for a batch of query vectors against one
+    shared key matrix.
+
+    Returns (indices, cosines) of shape (n_queries, k_eff): positions
+    into keys, best first, and their cosines rounded to float32 (held as
+    float64).  Ties, at that resolution, go to the more recent position.
+    """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if metric not in ("dot", "angular"):
-        raise ValueError(f"metric must be 'dot' or 'angular', got {metric!r}")
-    q = np.asarray(query, dtype=np.float64)
-    mat = np.asarray(keys, dtype=np.float64)
-    if mat.ndim != 2 or q.shape != (mat.shape[1],):
-        raise ValueError(f"query shape {q.shape} does not match keys {mat.shape}")
+    q = np.asarray(queries)
+    mat = np.asarray(keys)
+    if q.ndim != 2 or mat.ndim != 2 or q.shape[1] != mat.shape[1]:
+        raise ValueError(f"queries shape {q.shape} does not match keys {mat.shape}")
     mask = _check_mask(valid_mask, mat.shape[0])
-    scores = mat @ q
-    if metric == "angular":
-        qn = np.linalg.norm(q)
-        if qn == 0.0:
-            raise ValueError("angular metric undefined for a zero-norm query")
-        norms = np.linalg.norm(mat, axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scores = scores / (qn * norms)
-        scores[norms == 0.0] = -np.inf  # zero keys rank last
-    length = mat.shape[0]
-    positions = np.arange(length)
-    valid_idx = np.flatnonzero(mask)
-    n_valid = valid_idx.shape[0]
+    n = q.shape[0]
+    valid = np.flatnonzero(mask)
+    n_valid = valid.shape[0]
     k_eff = min(k, n_valid)
-    # full sort on (-score, -position): fine for a reference baseline
-    order = np.lexsort((-positions[valid_idx], -scores[valid_idx]))
-    chosen = valid_idx[order[:k_eff]].astype(np.int64)
-    return TopKResult(chosen, scores[chosen], k, n_valid)
+    if k_eff == 0:
+        return np.empty((n, 0), np.int64), np.empty((n, 0))
+    # column c of every product is valid position valid[c]: larger c is more recent
+    unit_keys, key_norms = _unit_rows(mat[valid])
+    unit_q, q_norms = _unit_rows(q)
+    zero_keys = np.flatnonzero(key_norms == 0.0)
+    # key = sortable(cosine) << shift | column, so the k largest keys are
+    # the k best columns and ties at the k-th cosine go to recency
+    shift = (n_valid - 1).bit_length()
+    columns = np.arange(n_valid, dtype=np.int64)
+    rows = max(1, _BLOCK_ELEMENTS // n_valid)
+    top = np.empty((n, k_eff), np.int64)
+    for start in range(0, n, rows):
+        block = slice(start, start + rows)
+        nb = unit_q[block].shape[0]
+        cos = np.matmul(unit_q[block], unit_keys.T,
+                        out=_scratch_buf("cosine", (nb, n_valid), np.float64))
+        if zero_keys.size:
+            cos[np.ix_(q_norms[block] > 0.0, zero_keys)] = -np.inf
+        rounded = _scratch_buf("cosine32", (nb, n_valid), np.float32)
+        np.copyto(rounded, cos, casting="same_kind")
+        rounded += 0.0  # -0.0 to +0.0, so equal cosines share one key
+        key = _scratch_buf("angular", (nb, n_valid), np.int64)
+        np.copyto(key, _sortable(rounded.view(np.int32),
+                                 _scratch_buf("sign", (nb, n_valid), np.int32)))
+        key <<= shift
+        key |= columns
+        if k_eff < n_valid:
+            key.partition(n_valid - k_eff, axis=1)
+        top[block] = key[:, n_valid - k_eff :]
+    top.sort(axis=1)
+    top = top[:, ::-1]
+    cosines = _sortable((top >> shift).astype(np.int32)).view(np.float32)
+    return valid[top & ((1 << shift) - 1)], cosines.astype(np.float64)
 
 
 def category_hard_search(

@@ -28,7 +28,7 @@ from hashta.data import (
     generate_synthetic,
     log_from_events,
 )
-from hashta.fingerprint import fingerprint_batch, hamming, new_hash_family, simhash
+from hashta.fingerprint import fingerprint_batch, new_hash_family, simhash
 from hashta.model import (
     ModelConfig,
     auc,
@@ -37,12 +37,12 @@ from hashta.model import (
     flatten,
     forward,
     init_params,
-    item_categories_from_samples,
     long_selection,
     loss_and_gradients,
     train,
 )
-from hashta.retrieval import top_k_by_dot, top_k_by_hamming
+from hashta.retrieval import angular_top_k_batch, top_k_by_hamming
+from oracles import cosines_match, hamming, item_categories_from_samples, top_k_by_angle
 
 BASE_TS = 1_700_000_000
 
@@ -156,7 +156,7 @@ def test_top_k_selection_matches_exhaustive_sort():
         fam = new_hash_family(5, 8, 1, seed=seed % 13)  # few bits: many ties
         embs = rng.standard_normal((length, 5))
         dup = rng.integers(0, length, size=length // 3)
-        embs[dup] = embs[rng.integers(0, length, size=dup.size)]  # exact dot ties
+        embs[dup] = embs[rng.integers(0, length, size=dup.size)]  # exact cosine ties
         table = fingerprint_batch(embs, fam)
         query_vec = rng.standard_normal(5)
         query = simhash(query_vec, fam)
@@ -176,18 +176,15 @@ def test_top_k_selection_matches_exhaustive_sort():
             bad += 1
             continue
 
-        dres = top_k_by_dot(query_vec, embs, mask, k)
-        scores = embs @ query_vec
-        dorder = sorted(
-            (i for i in range(length) if mask[i]), key=lambda i: (-scores[i], -i)
-        )
-        if dres.indices.tolist() != dorder[: min(k, len(dorder))]:
+        idx, cos = angular_top_k_batch(query_vec[None, :], embs, mask, k)
+        want, want_cos = top_k_by_angle(query_vec, embs, mask, k)
+        if idx[0].tolist() != want or not cosines_match(cos[0], want_cos):
             bad += 1
     _check(
         3, "top-k-matches-exhaustive-sort",
         bad == 0,
-        f"{500 - bad}/500 instances exact for hash and dot selection, "
-        "distance ties broken by recency",
+        f"{500 - bad}/500 instances exact for hash and angular selection, "
+        "distance and cosine ties broken by recency",
     )
 
 

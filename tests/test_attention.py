@@ -1,20 +1,30 @@
+import math
+
 import numpy as np
 import pytest
 
 from hashta.attention import (
     AttentionInput,
     MHTAParams,
-    attention_gradients,
-    eta_attention,
-    init_mhta_params,
     masked_softmax,
-    mhta,
-    restrict,
-    single_head_attention,
+    mhta_backward,
+    mhta_with_cache,
 )
-from hashta.fingerprint import fingerprint_batch, new_hash_family
-from hashta.retrieval import top_k_by_hamming
-from hashta.fingerprint import simhash
+from hashta.model import ModelConfig, _attn_from_rng
+
+
+def attention_params(d, n_heads, seed) -> MHTAParams:
+    """The model's seeded attention init for a d-dim, n_heads block."""
+    return _attn_from_rng(np.random.default_rng(seed), ModelConfig(d=d, n_heads=n_heads))
+
+
+def mhta(inp: AttentionInput, params: MHTAParams) -> np.ndarray:
+    return mhta_with_cache(inp, params)[0]
+
+
+def attention_gradients(inp: AttentionInput, params: MHTAParams, upstream):
+    _, cache = mhta_with_cache(inp, params)
+    return mhta_backward(cache, params, np.asarray(upstream, dtype=np.float64))
 
 
 def loop_mhta(inp: AttentionInput, params: MHTAParams) -> np.ndarray:
@@ -40,7 +50,7 @@ def loop_mhta(inp: AttentionInput, params: MHTAParams) -> np.ndarray:
 
 def random_case(seed, d=6, n_heads=2, length=9, mask_p=0.8):
     rng = np.random.default_rng(seed)
-    params = init_mhta_params(d, n_heads, seed=seed)
+    params = attention_params(d, n_heads, seed)
     inp = AttentionInput(
         rng.standard_normal(d),
         rng.standard_normal((length, d)),
@@ -54,24 +64,25 @@ def random_case(seed, d=6, n_heads=2, length=9, mask_p=0.8):
 
 
 def test_init_is_seeded_and_bounded():
-    a = init_mhta_params(8, 2, seed=3)
-    b = init_mhta_params(8, 2, seed=3)
-    c = init_mhta_params(8, 2, seed=4)
+    a = attention_params(8, 2, seed=3)
+    b = attention_params(8, 2, seed=3)
+    c = attention_params(8, 2, seed=4)
     np.testing.assert_array_equal(a.wq, b.wq)
     assert not np.array_equal(a.wq, c.wq)
     bound = 1.0 / np.sqrt(8)
     for w in (a.wq, a.wk, a.wv, a.wo):
         assert np.all(np.abs(w) <= bound)
     assert a.alpha == pytest.approx(1.0 / 2.0)  # d_head = 4
+    assert type(a.alpha) is float
     assert (a.n_heads, a.d, a.d_head) == (2, 8, 4)
 
 
 def test_init_rejects_bad_dims():
+    # attention dims come from the model config, which checks them
     with pytest.raises(ValueError):
-        init_mhta_params(6, 4, seed=0)  # not divisible
+        ModelConfig(d=6, n_heads=4)  # not divisible
     with pytest.raises(ValueError):
-        init_mhta_params(0, 1, seed=0)
-    init_mhta_params(6, 4, seed=0, d_head=3)  # explicit d_head bypasses divisibility
+        ModelConfig(d=0, n_heads=1)
 
 
 def test_masked_softmax_basics():
@@ -89,12 +100,13 @@ def test_masked_softmax_basics():
 
 
 def test_single_head_matches_manual():
-    q = np.array([1.0, 0.0])
+    # one head with identity projections: softmax(K q) applied to V = K
+    eye = np.eye(2)
+    params = MHTAParams(eye[None], eye[None], eye[None], eye, 1.0)
     keys = np.array([[2.0, 0.0], [0.0, 1.0]])
-    values = np.array([[1.0, 1.0], [3.0, -1.0]])
-    out = single_head_attention(q, keys, values, 1.0, np.ones(2, bool))
-    w0 = np.exp(2.0) / (np.exp(2.0) + 1.0)
-    expect = w0 * values[0] + (1 - w0) * values[1]
+    out = mhta(AttentionInput(np.array([1.0, 0.0]), keys, np.ones(2, bool)), params)
+    w0 = math.exp(2.0) / (math.exp(2.0) + math.exp(0.0))
+    expect = w0 * keys[0] + (1 - w0) * keys[1]
     np.testing.assert_allclose(out, expect, atol=1e-12)
 
 
@@ -117,7 +129,7 @@ def test_identical_rows_get_uniform_weights():
     rng = np.random.default_rng(5)
     row = rng.standard_normal(4)
     inp = AttentionInput(rng.standard_normal(4), np.tile(row, (6, 1)), np.ones(6, bool))
-    params = init_mhta_params(4, 2, seed=1)
+    params = attention_params(4, 2, seed=1)
     one = mhta(AttentionInput(inp.target, row[None, :], np.ones(1, bool)), params)
     np.testing.assert_allclose(mhta(inp, params), one, atol=1e-12)
 
@@ -147,73 +159,6 @@ def test_shape_validation():
         mhta(AttentionInput(inp.target, inp.sequence[:, :5], inp.valid_mask), params)
     with pytest.raises(ValueError):
         mhta(AttentionInput(inp.target, inp.sequence, inp.valid_mask[:-1]), params)
-
-
-# ---------------------------------------------------------------------------
-# restriction
-
-
-def test_restrict_sorts_ascending():
-    inp, _ = random_case(2, length=7, mask_p=1.0)
-    out = restrict(inp, np.array([5, 1, 3]))
-    np.testing.assert_array_equal(out.sequence, inp.sequence[[1, 3, 5]])
-    assert out.valid_mask.all() and len(out.valid_mask) == 3
-
-
-def test_eta_equals_full_attention_when_k_covers_sequence():
-    # bit-identical, not just close: same rows, same order, same float ops
-    for seed in range(6):
-        inp, params = random_case(seed, length=8, mask_p=1.0)
-        fam = new_hash_family(6, 16, 2, seed=seed)
-        out, top = eta_attention(inp, params, fam, k=8)
-        assert np.array_equal(out, mhta(inp, params))
-        assert len(top) == 8
-
-
-def test_eta_selection_matches_direct_top_k():
-    inp, params = random_case(4, length=12, mask_p=0.75)
-    fam = new_hash_family(6, 24, 2, seed=17)
-    out, top = eta_attention(inp, params, fam, k=5)
-    direct = top_k_by_hamming(
-        simhash(np.asarray(inp.target, float), fam),
-        fingerprint_batch(np.asarray(inp.sequence, float), fam),
-        inp.valid_mask,
-        5,
-    )
-    assert top.indices.tolist() == direct.indices.tolist()
-    np.testing.assert_allclose(
-        out, mhta(restrict(inp, direct.indices), params), atol=1e-15
-    )
-
-
-def test_eta_with_precomputed_table_is_identical():
-    inp, params = random_case(6, length=10, mask_p=0.9)
-    fam = new_hash_family(6, 32, 2, seed=3)
-    table = fingerprint_batch(np.asarray(inp.sequence, float), fam)
-    a, top_a = eta_attention(inp, params, fam, k=4)
-    b, top_b = eta_attention(inp, params, fam, k=4, precomputed_key_fps=table)
-    assert np.array_equal(a, b)
-    assert top_a.indices.tolist() == top_b.indices.tolist()
-    with pytest.raises(ValueError):
-        eta_attention(inp, params, fam, k=4, precomputed_key_fps=table.take(np.arange(3)))
-
-
-def test_eta_hash_projected_uses_head_dim():
-    inp, params = random_case(8, length=10, mask_p=1.0)
-    fam_head = new_hash_family(params.d_head, 16, 2, seed=5)
-    out, top = eta_attention(inp, params, fam_head, k=4, hash_projected=True)
-    assert out.shape == (6,) and len(top) == 4
-    assert all(0 <= i < 10 for i in top.indices)
-    fam_raw = new_hash_family(6, 16, 2, seed=5)
-    with pytest.raises(ValueError):
-        eta_attention(inp, params, fam_raw, k=4, hash_projected=True)
-    with pytest.raises(ValueError):
-        eta_attention(
-            inp, params, fam_head, k=4, hash_projected=True,
-            precomputed_key_fps=fingerprint_batch(np.asarray(inp.sequence, float), fam_raw),
-        )
-    with pytest.raises(ValueError):
-        eta_attention(inp, params, fam_head, k=4)  # dim mismatch without the flag
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +206,3 @@ def test_masked_rows_receive_zero_gradient():
     for i in range(6):
         if not inp.valid_mask[i]:
             np.testing.assert_array_equal(grads.sequence[i], np.zeros(6))
-
-
-def test_gradient_upstream_shape_checked():
-    inp, params = random_case(0)
-    with pytest.raises(ValueError):
-        attention_gradients(inp, params, np.ones(5))

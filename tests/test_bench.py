@@ -33,7 +33,7 @@ def bench_config(**kw):
 
 def test_variant_labels():
     assert variant_label("ETA", 1024, 48) == "TA/HASH/1024/48"
-    assert variant_label("ETA_DOT", 256, 16) == "TA/DOT/256/16"
+    assert variant_label("ETA_ANGULAR", 256, 16) == "TA/ANG/256/16"
     assert variant_label("SIM_HARD", 256, 16) == "TA/CAT/256/16"
     assert variant_label("FULL_TA", 1024, 48) == "TA/-/1024/-"
     assert variant_label("DIN_SHORT", 1024, 48) == "TA/-/0/-"

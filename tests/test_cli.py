@@ -187,6 +187,17 @@ def test_unknown_config_key_fails_cleanly(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+def test_removed_hash_projected_key_is_an_unknown_config_key(workdir, tmp_path, capsys):
+    old = tmp_path / "old.ini"
+    old.write_text(CONFIG_TEXT.replace("variant = ETA\n", "variant = ETA\nhash_projected = false\n"))
+    code = main([
+        "train", "--config", str(old), "--data", str(workdir["log"]),
+        "--out", str(tmp_path / "m.htac"),
+    ])
+    assert code == 1
+    assert "unknown config key [model] hash_projected" in capsys.readouterr().err
+
+
 def test_missing_file_fails_cleanly(capsys):
     code = main(["eval", "--checkpoint", "/no/such/file", "--data", "/none.csv"])
     assert code == 1

@@ -15,7 +15,6 @@ from hashta.data import (
     build_category_index,
     build_samples,
     generate_synthetic,
-    interest_oracle,
     item_category_of,
     load_behavior_log,
     log_from_events,
@@ -24,6 +23,7 @@ from hashta.data import (
     SECONDS_PER_DAY,
 )
 from hashta.errors import FormatError
+from oracles import interest_oracle
 
 
 def ev(user, item, cat, ts, btype="click"):

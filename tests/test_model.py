@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hashta import _scratch, model, retrieval
 from hashta.data import Sample
 from hashta.errors import FormatError, NumericError
+from hashta.fingerprint import fingerprint_batch, simhash
 from hashta.model import (
     ModelConfig,
     auc,
@@ -16,13 +17,11 @@ from hashta.model import (
     flatten,
     forward,
     init_params,
-    item_categories_from_samples,
     load_checkpoint,
     long_selection,
     loss_and_gradients,
     param_names,
     predict_request,
-    request_from_sample,
     save_checkpoint,
     train,
     verify_item_fingerprints,
@@ -34,6 +33,8 @@ from hashta.model import (
     prepare_request,
     retrieval_stage,
 )
+from hashta.retrieval import top_k_by_hamming
+from oracles import item_categories_from_samples, request_from_sample
 
 N_CATS = 5
 BASE_TS = 1_700_000_000
@@ -81,7 +82,7 @@ def mk_sample(rng, label=1, n_short=3, n_long=6, n_pad_long=0, user=1):
 
 def test_forward_is_deterministic_probability():
     rng = np.random.default_rng(0)
-    for variant in ("POOLING", "DIN_SHORT", "DIN_LONG_AVG", "ETA", "FULL_TA", "SIM_HARD", "ETA_DOT"):
+    for variant in ("POOLING", "DIN_SHORT", "DIN_LONG_AVG", "ETA", "FULL_TA", "SIM_HARD", "ETA_ANGULAR"):
         config = tiny_config(variant=variant)
         params = init_params(config)
         s = mk_sample(rng)
@@ -120,7 +121,7 @@ def test_forward_validates_inputs():
 def test_empty_long_window_is_fine_everywhere():
     rng = np.random.default_rng(3)
     s = mk_sample(rng, n_long=0)
-    for variant in ("POOLING", "DIN_SHORT", "DIN_LONG_AVG", "ETA", "FULL_TA", "SIM_HARD", "ETA_DOT"):
+    for variant in ("POOLING", "DIN_SHORT", "DIN_LONG_AVG", "ETA", "FULL_TA", "SIM_HARD", "ETA_ANGULAR"):
         config = tiny_config(variant=variant)
         p = forward(s, init_params(config), config)
         assert 0.0 < p < 1.0
@@ -195,8 +196,6 @@ def test_verify_rejects_stale_or_mismatched_tables():
     other = fingerprint_items(init_params(tiny_config(m=16)), tiny_config(m=16), cats)
     with pytest.raises(FormatError):
         verify_item_fingerprints(other, init_params(config), config, cats)
-    with pytest.raises(ValueError):
-        fingerprint_items(params, tiny_config(hash_projected=True), cats)
 
 
 def test_hashing_ignores_the_age_component():
@@ -211,6 +210,15 @@ def test_hashing_ignores_the_age_component():
     sel_plain = long_selection(s, plain, plain_cfg)
     sel_aged = long_selection(s, aged, aged_cfg)
     assert sel_plain.indices.tolist() == sel_aged.indices.tolist()
+    # the hash input is item + category: the target's query bits against
+    # the long window's key bits
+    items = np.array([row[0] for row in s.long_seq])
+    cats = np.array([row[1] for row in s.long_seq])
+    target = aged.item_emb[s.target_item] + aged.cat_emb[s.target_category]
+    direct = top_k_by_hamming(simhash(target, aged.family),
+                              fingerprint_batch(aged.item_emb[items] + aged.cat_emb[cats], aged.family),
+                              items != 0, aged_cfg.k)
+    assert sel_aged.indices.tolist() == direct.indices.tolist()
 
 
 def test_long_selection_rejects_non_selecting_variant():
@@ -460,10 +468,10 @@ VARIANT_CONFIGS = [
     ("DIN_LONG_AVG", {}),
     ("ETA", {}),
     ("ETA", {"use_time_buckets": True}),
-    ("ETA", {"hash_projected": True}),
+    ("ETA", {"m": 40}),  # 2 x 40 bits: two words per fingerprint, not densified
     ("FULL_TA", {}),
     ("SIM_HARD", {}),
-    ("ETA_DOT", {}),
+    ("ETA_ANGULAR", {}),
     ("ETA", {"mlp_widths": ()}),  # the first MLP layer is the output layer
 ]
 
@@ -536,8 +544,8 @@ def test_predict_request_handles_empty_inputs():
 
 def test_retrieval_stage_rows_match_single_selection():
     rng = np.random.default_rng(32)
-    for variant, extra in (("ETA", {}), ("ETA", {"hash_projected": True}),
-                           ("SIM_HARD", {}), ("ETA_DOT", {})):
+    for variant, extra in (("ETA", {}), ("ETA", {"m": 40}), ("SIM_HARD", {}),
+                           ("ETA_ANGULAR", {})):
         config = tiny_config(variant=variant, **extra)
         params = init_params(config)
         base = mk_sample(rng, n_long=8)
@@ -662,10 +670,9 @@ def test_loaded_weights_score_in_float32(variant, extra, tmp_path, logit_dtypes)
                for it, ct in cands]
     want = np.array([forward(s, wide, config) for s in samples])
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
-    if not config.hash_projected:  # precomputed tables exist only for raw embeddings
-        table = fingerprint_items(params, config, np.array([0] + [cat_of(i) for i in range(1, 31)]))
-        tabled = predict_request(request_from_sample(base), cands, params, config, item_fps=table)
-        np.testing.assert_array_equal(tabled, got)
+    table = fingerprint_items(params, config, np.array([0] + [cat_of(i) for i in range(1, 31)]))
+    tabled = predict_request(request_from_sample(base), cands, params, config, item_fps=table)
+    np.testing.assert_array_equal(tabled, got)
 
 
 @pytest.mark.parametrize("variant,extra", VARIANT_CONFIGS)
@@ -734,6 +741,32 @@ def test_benchmark_shaped_table_scoring_crosses_retrieval_blocks(tmp_path):
     sel = retrieval_stage(state, items, emb, cats, params, config)
     for row, s in enumerate(samples):
         assert sel[row].tolist() == long_selection(s, wide, config).indices.tolist()
+    want = np.array([forward(s, wide, config) for s in samples])
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
+
+
+def test_benchmark_shaped_angular_scoring_matches_per_sample_forward(tmp_path):
+    # exact angular retrieval at the serving benchmark's shape: a 2048-long
+    # history of repeated items, 128 candidates, K=48, float32 weights
+    n_items, length = 400, 2048
+    config = tiny_config(d=8, l_lt=length, k=48, n_items=n_items, variant="ETA_ANGULAR")
+    params, wide = loaded_and_widened(config, tmp_path)
+    rng = np.random.default_rng(42)
+    history = tuple((int(i), cat_of(int(i)), BASE_TS - (24 + j) * 3600)
+                    for j, i in enumerate(rng.integers(1, n_items + 1, size=length)))
+    base = Sample(user_id=2, target_item=1, target_category=1, context_bucket=5,
+                  timestamp=BASE_TS, label=1, short_seq=history[:3], long_seq=history)
+    cands = [(int(i), cat_of(int(i))) for i in rng.choice(np.arange(1, n_items + 1), 128, replace=False)]
+    request = request_from_sample(base)
+    state = prepare_request(request, params, config)
+    items, cats, emb = candidate_embeddings(cands, params, config)
+    sel = retrieval_stage(state, items, emb, cats, params, config)
+    samples = [Sample(**{**base.__dict__, "target_item": it, "target_category": ct})
+               for it, ct in cands]
+    for row, s in enumerate(samples):
+        assert sel[row].tolist() == long_selection(s, params, config).indices.tolist()
+        assert sel[row].tolist() == long_selection(s, wide, config).indices.tolist()
+    got = predict_request(request, cands, params, config)
     want = np.array([forward(s, wide, config) for s in samples])
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
 
@@ -840,17 +873,56 @@ def test_checkpoint_rejects_corruption(tmp_path):
         with pytest.raises(FormatError):
             load_checkpoint(p)
 
-    import json as _json
-
-    cfg = _json.loads(blob[12 : 12 + int.from_bytes(blob[8:12], "little")].decode())
-    cfg["bogus_key"] = 1
-    echo = _json.dumps(cfg).encode()
-    bad = blob[:8] + len(echo).to_bytes(4, "little") + echo + blob[12 + int.from_bytes(blob[8:12], "little") :]
     p = tmp_path / "unknown.htac"
-    p.write_bytes(bad)
+    p.write_bytes(with_config_echo(blob, lambda c: c.update(bogus_key=1)))
     with pytest.raises(FormatError) as err:
         load_checkpoint(p)
     assert "bogus_key" in str(err.value)
+
+
+def with_config_echo(blob: bytes, edit) -> bytes:
+    """A checkpoint blob whose JSON config echo has been passed through edit."""
+    import json as _json
+
+    n = int.from_bytes(blob[8:12], "little")
+    cfg = _json.loads(blob[12 : 12 + n].decode())
+    edit(cfg)
+    echo = _json.dumps(cfg).encode()
+    return blob[:8] + len(echo).to_bytes(4, "little") + echo + blob[12 + n :]
+
+
+def test_checkpoint_written_with_hash_projected_false_still_loads(tmp_path):
+    # checkpoints from before the option was removed echo it as false
+    config = tiny_config(variant="ETA")
+    params = init_params(config)
+    path = tmp_path / "model.htac"
+    save_checkpoint(path, params, config)
+    old = tmp_path / "old.htac"
+    old.write_bytes(with_config_echo(path.read_bytes(), lambda c: c.update(hash_projected=False)))
+    loaded, cfg = load_checkpoint(old)
+    assert cfg == config
+    s = mk_sample(np.random.default_rng(41))
+    assert forward(s, loaded, cfg) == forward(s, load_checkpoint(path)[0], config)
+
+
+def test_checkpoint_with_hash_projected_true_is_refused(tmp_path):
+    config = tiny_config(variant="ETA")
+    path = tmp_path / "model.htac"
+    save_checkpoint(path, init_params(config), config)
+    path.write_bytes(with_config_echo(path.read_bytes(), lambda c: c.update(hash_projected=True)))
+    with pytest.raises(FormatError) as err:
+        load_checkpoint(path)
+    assert "hash_projected" in str(err.value)
+
+
+def test_checkpoint_with_eta_dot_variant_is_refused(tmp_path):
+    config = tiny_config(variant="ETA_ANGULAR")
+    path = tmp_path / "model.htac"
+    save_checkpoint(path, init_params(config), config)
+    path.write_bytes(with_config_echo(path.read_bytes(), lambda c: c.update(variant="ETA_DOT")))
+    with pytest.raises(FormatError) as err:
+        load_checkpoint(path)
+    assert "ETA_DOT" in str(err.value)
 
 
 def test_checkpoint_preserves_predictions(tmp_path):

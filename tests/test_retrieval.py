@@ -6,12 +6,13 @@ from hypothesis import strategies as st
 from hashta import retrieval
 from hashta.fingerprint import fingerprint_batch, new_hash_family, simhash
 from hashta.retrieval import (
+    angular_top_k_batch,
     category_hard_search,
     hamming_top_k_batch,
     recall_at_k,
-    top_k_by_dot,
     top_k_by_hamming,
 )
+from oracles import cosines_match, top_k_by_angle
 
 
 def brute_hamming_order(query, table, mask):
@@ -25,6 +26,18 @@ def brute_hamming_order(query, table, mask):
         key=lambda i: (dists[i], -i),
     )
     return order, dists
+
+
+def sorted_hamming_rows(queries, keys, mask, k):
+    """Exhaustive oracle for a batch: per query, a full lexsort of valid
+    positions by (distance, -position); (indices, distances) lists."""
+    positions = np.flatnonzero(mask)
+    out = []
+    for row in range(queries.words.shape[0]):
+        dists = np.bitwise_count(keys.words ^ queries.words[row]).sum(axis=1)[positions]
+        order = np.lexsort((-positions, dists))[:k]
+        out.append((positions[order].tolist(), dists[order].tolist()))
+    return out
 
 
 def random_instance(seed, length, dim=6, m=16, rounds=2, mask_p=0.9):
@@ -113,8 +126,9 @@ def test_invalid_args_rejected():
        st.data())
 @settings(max_examples=40, deadline=None)
 def test_batch_rows_equal_single_queries(seed, length, k, n_queries, data):
-    # a longer then a shorter length after the first call: per-thread
-    # scratch is grown, then reused through a smaller view
+    # a single query is a one-row batch, so rows are checked against the
+    # exhaustive sort; a longer then a shorter length after the first
+    # call: per-thread scratch is grown, then reused through a smaller view
     longer = data.draw(st.integers(length + 1, length + 600), label="longer")
     shorter = data.draw(st.integers(1, longer - 1), label="shorter")
     valid_p = data.draw(st.sampled_from([0.85, 1.0]), label="valid_p")
@@ -125,10 +139,9 @@ def test_batch_rows_equal_single_queries(seed, length, k, n_queries, data):
         keys = fingerprint_batch(rng.standard_normal((n, 5)), fam)
         mask = rng.random(n) < valid_p
         idx, dists = hamming_top_k_batch(queries, keys, mask, k)
-        for row in range(n_queries):
-            single = top_k_by_hamming(queries.row(row), keys, mask, k)
-            assert idx[row].tolist() == single.indices.tolist()
-            assert dists[row].tolist() == single.scores.tolist()
+        for row, (want, want_dists) in enumerate(sorted_hamming_rows(queries, keys, mask, k)):
+            assert idx[row].tolist() == want
+            assert dists[row].tolist() == want_dists
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(900, 2100),
@@ -150,10 +163,9 @@ def test_batch_rows_equal_single_queries_across_row_blocks(seed, length, family,
     mask = rng.random(length) < valid_p
     idx, dists = hamming_top_k_batch(queries, keys, mask, k)
     assert idx.shape == dists.shape == (n_queries, min(k, int(mask.sum())))
-    for row in range(n_queries):
-        single = top_k_by_hamming(queries.row(row), keys, mask, k)
-        assert idx[row].tolist() == single.indices.tolist()
-        assert dists[row].tolist() == single.scores.tolist()
+    for row, (want, want_dists) in enumerate(sorted_hamming_rows(queries, keys, mask, k)):
+        assert idx[row].tolist() == want
+        assert dists[row].tolist() == want_dists
 
 
 def test_batch_all_masked():
@@ -165,54 +177,88 @@ def test_batch_all_masked():
 
 
 # ---------------------------------------------------------------------------
-# dot / angular baseline
+# angular
 
 
-def brute_dot_order(scores, mask):
-    return sorted((i for i in range(len(scores)) if mask[i]), key=lambda i: (-scores[i], -i))
-
-
-@given(st.integers(0, 2**32 - 1), st.integers(1, 50), st.integers(1, 60))
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 200), st.data())
 @settings(max_examples=40, deadline=None)
-def test_dot_top_k_matches_sort_oracle(seed, length, k):
+def test_angular_batch_rows_match_sort_oracle(seed, length, n_queries, data):
+    dim = data.draw(st.integers(1, 6), label="dim")
+    k = data.draw(st.integers(1, length + 3), label="k")  # k >= valid count too
+    valid_p = data.draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]), label="valid_p")
+    dtype = data.draw(st.sampled_from([np.float32, np.float64]), label="dtype")
     rng = np.random.default_rng(seed)
-    keys = rng.standard_normal((length, 4))
-    q = rng.standard_normal(4)
-    mask = rng.random(length) < 0.9
-    res = top_k_by_dot(q, keys, mask, k)
-    expect = brute_dot_order(keys @ q, mask)[: min(k, int(mask.sum()))]
-    assert res.indices.tolist() == expect
+    # keys repeat rows of a small vocabulary, so cosines tie exactly, and
+    # vocabulary row 0 is a zero-norm key
+    vocab = rng.standard_normal((max(2, length // 3), dim))
+    vocab[0] = 0.0
+    keys = vocab[rng.integers(0, vocab.shape[0], size=length)].astype(dtype)
+    queries = rng.standard_normal((n_queries, dim)).astype(dtype)
+    queries[rng.random(n_queries) < 0.1] = 0.0  # zero-norm queries: pure recency
+    mask = rng.random(length) < valid_p
+    idx, cos = angular_top_k_batch(queries, keys, mask, k)
+    assert idx.shape == cos.shape == (n_queries, min(k, int(mask.sum())))
+    for row in range(n_queries):
+        want, want_cos = top_k_by_angle(queries[row], keys, mask, k)
+        assert idx[row].tolist() == want
+        assert cosines_match(cos[row], want_cos)
 
 
-def test_dot_tie_break_prefers_recency():
-    keys = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
-    res = top_k_by_dot(np.array([1.0, 0.0]), keys, np.ones(3, bool), 2)
-    assert res.indices.tolist() == [2, 0]
+def test_angular_one_row_call_equals_row_of_batch():
+    # the serving shape: 128 candidates against a 2048-long history of
+    # repeated items, several row blocks per call, float32 inputs
+    rng = np.random.default_rng(12)
+    catalog = rng.standard_normal((3000, 32)).astype(np.float32)
+    keys = catalog[np.minimum(rng.zipf(1.3, size=2048), 3000) - 1]
+    queries = catalog[rng.integers(0, 3000, size=128)]
+    mask = rng.random(2048) < 0.95
+    assert 128 > retrieval._BLOCK_ELEMENTS // int(mask.sum())
+    idx, cos = angular_top_k_batch(queries, keys, mask, 48)
+    for row in range(128):
+        one_idx, one_cos = angular_top_k_batch(queries[row : row + 1], keys, mask, 48)
+        assert one_idx[0].tolist() == idx[row].tolist()
+        assert one_cos[0].tolist() == cos[row].tolist()
+    for row in range(0, 128, 16):
+        want, want_cos = top_k_by_angle(queries[row], keys, mask, 48)
+        assert idx[row].tolist() == want
+        assert cosines_match(cos[row], want_cos)
+
+
+def test_angular_tie_break_prefers_recency():
+    keys = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [2.0, 0.0]])
+    idx, cos = angular_top_k_batch(np.array([[1.0, 0.0]]), keys, np.ones(4, bool), 3)
+    assert idx[0].tolist() == [3, 2, 0]
+    assert cos[0].tolist() == [1.0, 1.0, 1.0]
 
 
 def test_angular_ignores_key_scale():
     rng = np.random.default_rng(4)
     keys = rng.standard_normal((20, 3))
     scales = rng.uniform(0.1, 10.0, size=20)[:, None]
-    q = rng.standard_normal(3)
+    q = rng.standard_normal((2, 3))
     mask = np.ones(20, bool)
-    a = top_k_by_dot(q, keys, mask, 7, metric="angular")
-    b = top_k_by_dot(q, keys * scales, mask, 7, metric="angular")
-    assert a.indices.tolist() == b.indices.tolist()
+    a, _ = angular_top_k_batch(q, keys, mask, 7)
+    b, _ = angular_top_k_batch(q, keys * scales, mask, 7)
+    assert a.tolist() == b.tolist()
 
 
 def test_angular_zero_norm_key_ranks_last():
     keys = np.array([[0.0, 0.0], [0.2, 0.1], [-1.0, -1.0]])
-    res = top_k_by_dot(np.array([1.0, 1.0]), keys, np.ones(3, bool), 3, metric="angular")
-    assert res.indices.tolist()[-1] == 0
-    assert res.scores[-1] == -np.inf
+    idx, cos = angular_top_k_batch(np.array([[1.0, 1.0]]), keys, np.ones(3, bool), 3)
+    assert idx[0].tolist()[-1] == 0
+    assert cos[0, -1] == -np.inf
 
 
-def test_angular_zero_norm_query_rejected():
+def test_angular_zero_norm_query_is_pure_recency():
+    keys = np.array([[0.0, 0.0], [0.2, 0.1], [-1.0, -1.0], [3.0, 0.5]])
+    mask = np.array([True, True, False, True])
+    idx, cos = angular_top_k_batch(np.zeros((1, 2)), keys, mask, 4)
+    assert idx[0].tolist() == [3, 1, 0]
+    assert cos[0].tolist() == [0.0, 0.0, 0.0]
     with pytest.raises(ValueError):
-        top_k_by_dot(np.zeros(2), np.ones((3, 2)), np.ones(3, bool), 1, metric="angular")
+        angular_top_k_batch(np.ones((1, 2)), np.ones((3, 2)), np.ones(3, bool), 0)
     with pytest.raises(ValueError):
-        top_k_by_dot(np.ones(2), np.ones((3, 2)), np.ones(3, bool), 1, metric="bogus")
+        angular_top_k_batch(np.ones((1, 3)), np.ones((3, 2)), np.ones(3, bool), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +330,8 @@ def test_hamming_recall_of_angular_improves_with_bits():
             table = fingerprint_batch(embs, fam)
             mask = np.ones(length, bool)
             approx = top_k_by_hamming(simhash(q, fam), table, mask, k)
-            exact = top_k_by_dot(q, embs, mask, k, metric="angular")
-            recalls.append(recall_at_k(approx.indices, exact.indices))
+            exact, _ = angular_top_k_batch(q[None, :], embs, mask, k)
+            recalls.append(recall_at_k(approx.indices, exact[0]))
         mean_recall[m] = float(np.mean(recalls))
     assert mean_recall[256] > mean_recall[8] + 0.1
     assert mean_recall[256] > 0.5
