@@ -63,7 +63,8 @@ from ._scratch import scratch_buf
 from .errors import FormatError, NumericError
 from .fingerprint import FingerprintTable, HashFamily, fingerprint_batch, new_hash_family, simhash
 from .retrieval import (
-    TopKResult, angular_top_k_batch, category_hard_search, hamming_top_k_batch, top_k_by_hamming,
+    TopKResult, angular_top_k_batch, category_hard_search, category_hard_search_batch,
+    hamming_top_k_batch, top_k_by_hamming,
 )
 
 VARIANTS = ("POOLING", "DIN_SHORT", "DIN_LONG_AVG", "ETA", "FULL_TA", "SIM_HARD", "ETA_ANGULAR")
@@ -160,6 +161,8 @@ def _hash_family(config: ModelConfig) -> HashFamily:
 def _check_vocab(config: ModelConfig) -> None:
     if config.n_items < 1 or config.n_categories < 1 or config.n_users < 1:
         raise ValueError("config needs positive n_items, n_categories and n_users")
+    if (config.n_items + 1) * (config.n_categories + 1) * N_TIME_BUCKETS >= 2**63:
+        raise ValueError("n_items x n_categories too large for an int64 behaviour key")
 
 
 def init_params(config: ModelConfig) -> ModelParams:
@@ -758,17 +761,16 @@ class RequestState:
     __slots__ = ("user_vec", "ctx_vec", "st", "lt", "lt_kv", "long_fps", "item_fps")
 
 
-def _kv_stacks(emb: np.ndarray, attn: MHTAParams):
-    return emb @ attn.wk, emb @ attn.wv  # (n_heads, L, d_head) each
-
-
 def prepare_request(request: Request, params: ModelParams, config: ModelConfig,
                     item_fps: Optional[FingerprintTable] = None) -> RequestState:
     """Per-request work shared by all candidates: embeddings, K/V, key bits.
 
-    The long window is projected to K/V only for FULL_TA; the other
-    attending variants fold the projections into the weights instead
-    (see _folded_attention)."""
+    The long window is projected to K/V only for FULL_TA, once per distinct
+    valid (item, category, age bucket), since repeats share one embedding and
+    so one logit and one value: lt_kv is (K, count-weighted V, counts),
+    (n_heads, U, d_head) twice and (U,), or None for a window with no valid
+    position.  The other attending variants fold the projections into the
+    weights instead (see _folded_attention)."""
     _check_id("user_id", request.user_id, config.n_users)
     _check_id("context_bucket", request.context_bucket, config.n_contexts)
     if len(request.short_seq) > config.l_st:
@@ -780,7 +782,21 @@ def prepare_request(request: Request, params: ModelParams, config: ModelConfig,
     state.ctx_vec = params.ctx_emb[request.context_bucket]
     state.st = _embed_sequence(request.short_seq, request.timestamp, params, config, "short_seq")
     state.lt = _embed_sequence(request.long_seq, request.timestamp, params, config, "long_seq")
-    state.lt_kv = _kv_stacks(state.lt.emb, params.long_attn) if config.variant == "FULL_TA" else None
+    state.lt_kv = None
+    if config.variant == "FULL_TA" and state.lt.mask.any():
+        lt, attn = state.lt, params.long_attn
+        valid = np.flatnonzero(lt.mask)
+        # below (n_items + 1)(n_categories + 1) N_TIME_BUCKETS < 2**63 (_check_vocab):
+        # reaching 2**63 takes tables of over 2**30.8 rows together, d x 7.7 GB in float32
+        key = lt.items[valid] * (config.n_categories + 1) + lt.cats[valid]
+        if config.use_time_buckets:
+            key = key * N_TIME_BUCKETS + lt.buckets[valid]
+        _, first, counts = np.unique(key, return_index=True, return_counts=True)
+        rows = np.take(lt.emb, valid[first], axis=0)
+        counts = counts.astype(rows.dtype)
+        ks, vs = rows @ attn.wk, rows @ attn.wv
+        vs *= counts[:, None]
+        state.lt_kv = ks, vs, counts
     state.long_fps = None
     state.item_fps = item_fps
     if config.variant == "ETA":
@@ -818,7 +834,6 @@ def retrieval_stage(state: RequestState, cand_items: np.ndarray, cand_emb: np.nd
     category; hashing the embedding gives the same bits)."""
     variant = config.variant
     lt = state.lt
-    length = lt.mask.shape[0]
     if variant == "ETA":
         if state.item_fps is not None:
             qfps = state.item_fps.take(cand_items)
@@ -827,19 +842,8 @@ def retrieval_stage(state: RequestState, cand_items: np.ndarray, cand_emb: np.nd
         idx, _ = hamming_top_k_batch(qfps, state.long_fps, lt.mask, config.k)
         return idx
     if variant == "SIM_HARD":
-        match = (lt.cats[None, :] == cand_cats[:, None]) & lt.mask[None, :]
-        recency = np.arange(length - 1, -1, -1, dtype=np.int64)
-        composite = np.where(match, np.int64(0), np.int64(length)) + recency[None, :]
-        composite[:, ~lt.mask] = np.int64(2**62)
-        k_eff = min(config.k, int(lt.mask.sum()))
-        if k_eff == 0:
-            return np.empty((cand_emb.shape[0], 0), np.int64)
-        part = (
-            np.argpartition(composite, k_eff - 1, axis=1)[:, :k_eff]
-            if k_eff < length else np.broadcast_to(np.arange(length), composite.shape).copy()
-        )
-        order = np.argsort(np.take_along_axis(composite, part, axis=1), axis=1, kind="stable")
-        return np.take_along_axis(part, order, axis=1).astype(np.int64)
+        idx, _ = category_hard_search_batch(cand_cats, lt.cats, lt.mask, config.k)
+        return idx
     if variant == "ETA_ANGULAR":
         idx, _ = angular_top_k_batch(cand_emb, lt.base, lt.mask, config.k)
         return idx
@@ -873,24 +877,24 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     return logits
 
 
-def _attend_full_batch(kv, cand_q: np.ndarray, mask: np.ndarray, attn: MHTAParams):
-    """Each head's (n, L) logits reuse one per-thread scratch block and are
-    exponentiated in place; the (n, d_head) weighted sums are normalised,
-    not the (n, L) weights."""
-    ks, vs = kv
+def _attend_full_batch(kv, cand_q: np.ndarray, attn: MHTAParams):
+    """Full attention over the U distinct rows of lt_kv: row u stands
+    for c_u positions sharing its logit and value, so sum_p e^l_p v_p /
+    sum_p e^l_p = sum_u e^l_u (c_u v_u) / sum_u e^l_u c_u.  Each head's (n, U)
+    logits reuse one per-thread scratch block and are exponentiated in
+    place; the (n, d_head) weighted sums are normalised, not the weights."""
     n, d_h = cand_q.shape[0], attn.d_head
-    if not mask.any():
+    if kv is None:
         return np.zeros((n, attn.wo.shape[1]), cand_q.dtype)
+    ks, vs, counts = kv
     qs = np.matmul(cand_q, attn.alpha * attn.wq)  # (n_heads, n, d_head), alpha folded in
-    logits = scratch_buf("attend.full", (n, mask.shape[0]), ks.dtype)
+    logits = scratch_buf("attend.full", (n, counts.shape[0]), ks.dtype)
     heads = np.empty((n, attn.n_heads * d_h), ks.dtype)
     for h in range(attn.n_heads):
         np.matmul(qs[h], ks[h].T, out=logits)
-        if not mask.all():
-            logits[:, ~mask] = -np.inf  # exp gives exact zeros there
         logits -= logits.max(axis=1, keepdims=True)
         np.exp(logits, out=logits)
-        np.divide(logits @ vs[h], logits.sum(axis=1, keepdims=True), out=heads[:, h * d_h : (h + 1) * d_h])
+        np.divide(logits @ vs[h], (logits @ counts)[:, None], out=heads[:, h * d_h : (h + 1) * d_h])
     return heads @ attn.wo
 
 
@@ -937,7 +941,7 @@ def attention_stage(state: RequestState, cand_emb: np.ndarray, sel: Optional[np.
     if variant in ("POOLING", "DIN_LONG_AVG"):
         return np.broadcast_to(_masked_mean(state.lt.emb, state.lt.mask, d), (n, d)).copy()
     if variant == "FULL_TA":
-        return _attend_full_batch(state.lt_kv, cand_emb, state.lt.mask, params.long_attn)
+        return _attend_full_batch(state.lt_kv, cand_emb, params.long_attn)
     return _attend_selected_batch(state.lt.emb, cand_emb, sel, *_folded_attention(params.long_attn))
 
 

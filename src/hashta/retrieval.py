@@ -60,8 +60,6 @@ import numpy as np
 from ._scratch import scratch_buf
 from .fingerprint import Fingerprint, FingerprintTable, _check_comparable
 
-_SENTINEL = np.int64(2**62)
-
 # Keys per row block of hamming_top_k_batch: its XOR, popcount and key
 # buffers then total about 850 KB, inside the 2 MiB per-core L2 measured
 # on the x86_64 serving host (see the module docstring).
@@ -159,17 +157,6 @@ def _block_keys(q: np.ndarray, kt: np.ndarray, shift: int, ctype) -> np.ndarray:
         composite += np.bitwise_count(buf, out=pc)
     composite <<= shift
     return composite
-
-
-def _select(composite: np.ndarray, k_eff: int) -> np.ndarray:
-    """Positions of the k_eff smallest composite keys, ascending by key."""
-    if k_eff == 0:
-        return np.empty(0, dtype=np.int64)
-    if k_eff < composite.shape[0]:
-        part = np.argpartition(composite, k_eff - 1)[:k_eff]
-    else:
-        part = np.arange(composite.shape[0])
-    return part[np.argsort(composite[part], kind="stable")].astype(np.int64)
 
 
 def top_k_by_hamming(
@@ -313,6 +300,13 @@ def category_hard_search(
     most recent non-matching behaviors so the result is always min(k, valid).
 
     Scores are 1.0 for a category match and 0.0 for backfill."""
+    idx, match = category_hard_search_batch([target_category], categories, valid_mask, k)
+    return TopKResult(idx[0], match[0].astype(np.float64), k, int(np.count_nonzero(valid_mask)))
+
+
+def category_hard_search_batch(target_categories, categories, valid_mask, k: int):
+    """Row-wise category_hard_search for a batch of target categories against
+    one shared sequence: (indices, matches), each (n_targets, k_eff)."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     cats = np.asarray(categories)
@@ -320,15 +314,16 @@ def category_hard_search(
         raise ValueError(f"categories must be 1-d, got shape {cats.shape}")
     length = cats.shape[0]
     mask = _check_mask(valid_mask, length)
-    match = (cats == target_category) & mask
-    # matches first (most recent first), then backfill by recency
-    composite = np.where(match, np.int64(0), np.int64(length)) + np.arange(
-        length - 1, -1, -1, dtype=np.int64
-    )
-    composite[~mask] = _SENTINEL
-    n_valid = int(mask.sum())
-    chosen = _select(composite, min(k, n_valid))
-    return TopKResult(chosen, match[chosen].astype(np.float64), k, n_valid)
+    k_eff = min(k, int(np.count_nonzero(mask)))
+    # key = mismatch << shift | reversed position, as in the Hamming key;
+    # padding keys have every bit below the sign set, so they sort last
+    shift = (length - 1).bit_length()
+    key = np.not_equal(cats, np.asarray(target_categories)[:, None]).astype(np.int64) << shift
+    key |= np.where(mask, _recency_keys(length, np.int64), np.iinfo(np.int64).max)
+    if 0 < k_eff < length:
+        key.partition(k_eff - 1, axis=1)
+    top = np.sort(key[:, :k_eff], axis=1)
+    return length - 1 - (top & ((1 << shift) - 1)), (top >> shift) == 0
 
 
 def recall_at_k(retrieved, exact) -> float:

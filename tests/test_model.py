@@ -2,11 +2,11 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hashta import _scratch, model, retrieval
-from hashta.data import Sample
+from hashta.data import SECONDS_PER_DAY, Sample
 from hashta.errors import FormatError, NumericError
 from hashta.fingerprint import fingerprint_batch, simhash
 from hashta.model import (
@@ -513,7 +513,7 @@ def test_full_attention_over_long_windows_matches_per_sample_forward(length, pad
         state = prepare_request(request_from_sample(base), params, config)
         _, _, emb = candidate_embeddings(cands, params, config)
         qs = params.long_attn.alpha * np.matmul(emb, params.long_attn.wq)
-        logits = np.matmul(qs, state.lt_kv[0][:, ~pad].transpose(0, 2, 1))
+        logits = np.matmul(qs, state.lt_kv[0].transpose(0, 2, 1))  # distinct valid rows
         assert logits.max() > np.log(np.finfo(np.float64).max)
     samples = [
         Sample(**{**base.__dict__, "target_item": it, "target_category": ct})
@@ -522,6 +522,74 @@ def test_full_attention_over_long_windows_matches_per_sample_forward(length, pad
     got = predict_request(request_from_sample(base), cands, params, config)
     want = np.array([forward(s, params, config) for s in samples])
     np.testing.assert_allclose(got, want, atol=1e-9)
+
+
+# age in days -> time bucket min(9, floor(log2(1 + age_days)))
+AGE_BUCKETS = {0: 0, 3: 2, 40: 5}
+
+
+@pytest.fixture(scope="module")
+def full_ta_weights(tmp_path_factory):
+    """{use_time_buckets: (float64 init_params, float32 checkpoint, the checkpoint widened)}."""
+    out = {}
+    for buckets in (False, True):
+        config = tiny_config(variant="FULL_TA", l_lt=12, use_time_buckets=buckets)
+        out[buckets] = (init_params(config),
+                        *loaded_and_widened(config, tmp_path_factory.mktemp("full_ta")))
+    return out
+
+
+behaviour = st.one_of(st.just((0, 0, 0)), st.tuples(st.integers(1, 3), st.integers(1, 2),
+                                                     st.sampled_from(sorted(AGE_BUCKETS))))
+
+
+@given(window=st.lists(behaviour, max_size=12), n_cands=st.integers(0, 4),
+       buckets=st.booleans(), float32=st.booleans())
+@example(window=[(2, 1, 0), (2, 1, 3), (2, 1, 40), (2, 1, 3)], n_cands=3, buckets=True,
+         float32=False)  # one item at three ages
+@example(window=[(3, 2, 3)] * 12, n_cands=2, buckets=False, float32=True)  # one repeated item
+@example(window=[(1, 1, 0), (1, 2, 0), (1, 1, 0)], n_cands=2, buckets=False,
+         float32=False)  # one item under two categories
+@example(window=[(1, 1, 0), (0, 0, 0), (1, 1, 0), (0, 0, 0)], n_cands=1, buckets=True,
+         float32=True)  # mixed padding
+@example(window=[(0, 0, 0)] * 5, n_cands=2, buckets=False, float32=False)  # all padding
+@example(window=[(1, 1, 3), (2, 1, 3)], n_cands=0, buckets=True, float32=True)
+@settings(max_examples=40, deadline=None)
+def test_full_attention_over_distinct_rows_matches_forward(window, n_cands, buckets, float32,
+                                                           full_ta_weights):
+    config = tiny_config(variant="FULL_TA", l_lt=12, use_time_buckets=buckets)
+    native, loaded, wide = full_ta_weights[buckets]
+    params, oracle, atol = (loaded, wide, 1e-6) if float32 else (native, native, 1e-9)
+    long_seq = tuple((it, ct, 0 if it == 0 else BASE_TS - age * SECONDS_PER_DAY)
+                     for it, ct, age in window)
+    base = Sample(user_id=1, target_item=1, target_category=1, context_bucket=2,
+                  timestamp=BASE_TS, label=1, short_seq=((2, 2, BASE_TS - 3600),),
+                  long_seq=long_seq)
+    cands = [(1 + i % 3, 1 + i % 2) for i in range(n_cands)]
+    request = request_from_sample(base)
+    state = prepare_request(request, params, config)
+    distinct = {(it, ct, AGE_BUCKETS[age] if buckets else 0)
+                for it, ct, age in window if it != 0}
+    if distinct:
+        ks, vs, counts = state.lt_kv
+        assert ks.shape[1] == vs.shape[1] == counts.shape[0] == len(distinct)
+        assert counts.dtype == params.item_emb.dtype
+        assert counts.sum() == sum(it != 0 for it, _, _ in window)
+    else:
+        assert state.lt_kv is None
+    items, cats, emb = candidate_embeddings(cands, params, config)
+    long_rep = attention_stage(state, emb, None, params, config)
+    got = finish_stage(state, emb, long_rep, params, config)
+    np.testing.assert_array_equal(got, predict_request(request, cands, params, config))
+    samples = [Sample(**{**base.__dict__, "target_item": it, "target_category": ct})
+               for it, ct in cands]
+    want = np.array([forward(s, oracle, config) for s in samples])
+    np.testing.assert_allclose(got, want, rtol=0, atol=atol)
+
+
+def test_vocabulary_whose_behaviour_key_could_overflow_is_refused():
+    with pytest.raises(ValueError, match="int64"):
+        init_params(tiny_config(n_items=2**31, n_categories=2**31))
 
 
 def test_predict_request_handles_empty_inputs():
@@ -587,7 +655,9 @@ def test_scratch_is_bounded_by_the_largest_request(variant, largest):
     many = workspace(lengths)
     tags = [tag for tag, _ in many]
     assert len(tags) == len(set(tags))
-    assert many[largest] == len(cands) * lengths.max()
+    # ETA's key block spans the history; FULL_TA's logits span its distinct behaviours
+    distinct = max(len({row[:2] for row in requests[n].long_seq}) for n in lengths)
+    assert many[largest] == len(cands) * {"ETA": lengths.max(), "FULL_TA": distinct}[variant]
     assert many == workspace([lengths.max()])
 
 
