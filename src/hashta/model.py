@@ -791,9 +791,10 @@ def prepare_request(request: Request, params: ModelParams, config: ModelConfig,
         key = lt.items[valid] * (config.n_categories + 1) + lt.cats[valid]
         if config.use_time_buckets:
             key = key * N_TIME_BUCKETS + lt.buckets[valid]
-        _, first, counts = np.unique(key, return_index=True, return_counts=True)
-        rows = np.take(lt.emb, valid[first], axis=0)
-        counts = counts.astype(rows.dtype)
+        order = key.argsort()  # np.unique's return_index sorts stably: 4-5x slower at L=2048
+        first = np.flatnonzero(np.concatenate(([True], np.diff(key[order]) != 0)))
+        rows = np.take(lt.emb, valid[order[first]], axis=0)  # a group's positions share one row
+        counts = np.diff(first, append=key.shape[0]).astype(rows.dtype)
         ks, vs = rows @ attn.wk, rows @ attn.wv
         vs *= counts[:, None]
         state.lt_kv = ks, vs, counts

@@ -632,12 +632,21 @@ def test_retrieval_stage_rows_match_single_selection():
     ("FULL_TA", ("attend.full", np.dtype(np.float64).str)),
 ], ids=["ETA", "FULL_TA"])
 def test_scratch_is_bounded_by_the_largest_request(variant, largest):
-    config = tiny_config(variant=variant, l_lt=600)
+    config = tiny_config(variant=variant, l_lt=600, n_items=600)
     params = init_params(config)
     rng = np.random.default_rng(34)
     cands = [(int(i), cat_of(int(i))) for i in rng.integers(1, 31, size=7)]
     lengths = rng.permutation(np.arange(200, 600, 7))  # 58 distinct lengths
-    requests = {n: request_from_sample(mk_sample(rng, n_long=int(n))) for n in lengths}
+    # 58 distinct behaviour counts too, the largest not on the longest request
+    uniques = dict(zip(lengths, rng.permutation(np.arange(20, 194, 3))))
+
+    def history(n):
+        pool = rng.choice(config.n_items, size=uniques[n], replace=False) + 1
+        items = rng.permutation(np.concatenate([pool, rng.choice(pool, size=n - pool.size)]))
+        return tuple((int(i), cat_of(int(i)), BASE_TS - (24 + j) * 3600) for j, i in enumerate(items))
+
+    requests = {n: request_from_sample(Sample(**{**mk_sample(rng).__dict__, "long_seq": history(n)}))
+                for n in lengths}
 
     def workspace(lens):
         # scratch is per thread, so each run starts from an empty one
@@ -656,9 +665,11 @@ def test_scratch_is_bounded_by_the_largest_request(variant, largest):
     tags = [tag for tag, _ in many]
     assert len(tags) == len(set(tags))
     # ETA's key block spans the history; FULL_TA's logits span its distinct behaviours
-    distinct = max(len({row[:2] for row in requests[n].long_seq}) for n in lengths)
-    assert many[largest] == len(cands) * {"ETA": lengths.max(), "FULL_TA": distinct}[variant]
-    assert many == workspace([lengths.max()])
+    most_distinct = max(uniques, key=uniques.get)
+    assert most_distinct != lengths.max()
+    biggest = {"ETA": lengths.max(), "FULL_TA": most_distinct}[variant]
+    assert many[largest] == len(cands) * {"ETA": lengths.max(), "FULL_TA": max(uniques.values())}[variant]
+    assert many == workspace([biggest])
 
 
 def test_stage_composition_equals_predict_request():
