@@ -25,21 +25,21 @@ process conditions found to move comparisons:
   ``timed_section`` frees one 24 MiB block first, so every loop is timed
   with the threshold raised, whatever ran before.
 
-Two measurement shapes, chosen by what the numbers feed:
+All timing goes through one loop, ``_time_cells``.  Every timed step
+scores one request per cell, and the cell that goes first rotates, which
+spreads slow host drift (thermal state, cache pressure from the
+measurement itself) evenly over all cells.
 
-* ``run_ablation`` times each trained cell on its own (sequentially);
-  its downstream checks are strict orderings with wide gaps, so
-  cell-to-cell drift does not matter.
 * ``run_comparison`` and ``run_scaling`` feed ratio checks with tight
-  windows, so their cells share one request loop with a rotating lead:
-  every timed step scores one request per cell, and the cell that goes
-  first rotates, which spreads slow host drift (thermal state, cache
-  pressure from the measurement itself) evenly over all cells.
-  ``run_scaling`` additionally times the retrieval and attention stages
-  by repeating each stage call ``STAGE_INNER`` times inside one clock
-  window on the same prepared request; single calls would charge
-  sub-millisecond stages for refilling caches the bookkeeping between
-  calls evicted, which flattens the very trend being measured.
+  windows, so all their cells share one loop.  ``run_scaling``
+  additionally times the retrieval and attention stages by repeating
+  each stage call ``STAGE_INNER`` times inside one clock window on the
+  request just scored; single calls would charge sub-millisecond stages
+  for refilling caches the bookkeeping between calls evicted, which
+  flattens the very trend being measured.
+* ``run_ablation`` trains each cell first, so it times its cells one at
+  a time through the same loop; its downstream checks are strict
+  orderings with wide gaps, so cell-to-cell drift does not matter.
 
 Report labels follow the technique/retrieval/L/K notation, e.g. a
 hash-retrieved attention model over 1024 behaviors keeping 48 of them is
@@ -198,51 +198,6 @@ def simulated_requests(config: M.ModelConfig, n: int, seed: int, n_candidates: i
     return requests, candidate_lists
 
 
-def measure_scoring(params, config: M.ModelConfig, requests, candidate_lists,
-                    n_requests: int, warmup: int, stage_times=False,
-                    item_fps=None) -> dict:
-    """Time predict_request over a cycled request pool; microsecond stats.
-
-    When an item fingerprint table is given, hash retrieval reads key bits
-    from it instead of rehashing the sequence per request (the serving
-    setup: fingerprints are refreshed offline whenever weights change, and
-    scores are identical either way)."""
-    pool = len(requests)
-    totals = np.empty(n_requests)
-    retrievals = np.empty(n_requests) if stage_times else None
-    attentions = np.empty(n_requests) if stage_times else None
-    with timed_section():
-        for i in range(warmup):
-            M.predict_request(requests[i % pool], candidate_lists[i % pool], params, config,
-                              item_fps=item_fps)
-        for i in range(n_requests):
-            req = requests[i % pool]
-            cands = candidate_lists[i % pool]
-            if stage_times:
-                t0 = time.perf_counter_ns()
-                state = M.prepare_request(req, params, config, item_fps)
-                items, cats, cand_emb = M.candidate_embeddings(cands, params, config)
-                t1 = time.perf_counter_ns()
-                sel = M.retrieval_stage(state, items, cand_emb, cats, params, config)
-                t2 = time.perf_counter_ns()
-                long_rep = M.attention_stage(state, cand_emb, sel, params, config)
-                t3 = time.perf_counter_ns()
-                M.finish_stage(state, cand_emb, long_rep, params, config)
-                t4 = time.perf_counter_ns()
-                totals[i] = (t4 - t0) / 1e3
-                retrievals[i] = (t2 - t1) / 1e3
-                attentions[i] = (t3 - t2) / 1e3
-            else:
-                t0 = time.perf_counter_ns()
-                M.predict_request(req, cands, params, config, item_fps=item_fps)
-                totals[i] = (time.perf_counter_ns() - t0) / 1e3
-    out = _latency_stats(totals)
-    out["retrieval_mean_us"] = float(retrievals.mean()) if stage_times else float("nan")
-    out["attention_mean_us"] = float(attentions.mean()) if stage_times else float("nan")
-    out["stage_inner"] = 1 if stage_times else 0
-    return out
-
-
 def serving_fingerprints(params, config: M.ModelConfig):
     """Per-item fingerprint table for hash retrieval, or None if unused.
 
@@ -257,7 +212,7 @@ def serving_fingerprints(params, config: M.ModelConfig):
 
 
 def run_cell(config: M.ModelConfig, samples, n_candidates: int, n_requests: int,
-             warmup: int, pool_size: int = 64, stage_times=False, log=None) -> BenchRecord:
+             warmup: int, log=None) -> BenchRecord:
     """Train (epochs per config; 0 means score a fresh init), measure AUC on
     the test split when data is given, then time the scoring path."""
     auc_value = float("nan")
@@ -268,12 +223,8 @@ def run_cell(config: M.ModelConfig, samples, n_candidates: int, n_requests: int,
         params = M.init_params(config)
     if samples is not None and len(samples.test):
         auc_value = M.evaluate(samples.test, params, config).auc
-    requests, cand_lists = simulated_requests(
-        config, min(pool_size, n_requests), config.seed, n_candidates
-    )
-    stats = measure_scoring(params, config, requests, cand_lists, n_requests, warmup,
-                            stage_times=stage_times,
-                            item_fps=serving_fingerprints(params, config))
+    job = _timing_job(params, config, n_candidates, n_requests)
+    (stats,) = _time_cells([job], n_requests, warmup)
     return _record(config, n_candidates, n_requests, warmup, auc=auc_value, **stats)
 
 
@@ -293,80 +244,25 @@ def run_ablation(base: M.ModelConfig, cells, samples, n_candidates: int,
     return records
 
 
-def _timing_jobs(configs, n_candidates_per, n_requests, pool_size):
-    """Fresh weights, request pool, and fingerprint table per timing cell."""
-    jobs = []
-    for config, n_candidates in zip(configs, n_candidates_per):
-        params = M.init_params(config)
-        requests, cand_lists = simulated_requests(
-            config, min(pool_size, n_requests), config.seed, n_candidates
-        )
-        jobs.append((params, config, requests, cand_lists,
-                     serving_fingerprints(params, config)))
-    return jobs
-
-
-def measure_paired(jobs, n_requests: int, warmup: int) -> np.ndarray:
-    """Total scoring latencies for several cells on one interleaved stream.
-
-    Each job is (params, config, requests, candidate_lists, item_fps).
-    Every timed step scores one request per job with a rotating lead, so
-    slow host drift lands evenly on each cell and their means stay
-    directly comparable.  Returns microsecond totals, one row per job."""
-    n_jobs = len(jobs)
-    totals = np.empty((n_jobs, n_requests))
-    with timed_section():
-        for i in range(warmup):
-            for params, config, requests, cand_lists, item_fps in jobs:
-                M.predict_request(requests[i % len(requests)],
-                                  cand_lists[i % len(cand_lists)],
-                                  params, config, item_fps=item_fps)
-        for i in range(n_requests):
-            lead = i % n_jobs
-            for off in range(n_jobs):
-                j = (lead + off) % n_jobs
-                params, config, requests, cand_lists, item_fps = jobs[j]
-                req = requests[i % len(requests)]
-                cands = cand_lists[i % len(cand_lists)]
-                t0 = time.perf_counter_ns()
-                M.predict_request(req, cands, params, config, item_fps=item_fps)
-                totals[j, i] = (time.perf_counter_ns() - t0) / 1e3
-    return totals
-
-
-def run_comparison(base: M.ModelConfig, cells, n_candidates: int,
-                   n_requests: int, warmup: int, pool_size: int = 64):
-    """Latency head-to-head across config tweaks, untrained weights.
-
-    All cells run inside one interleaved loop (measure_paired), so mean
-    ratios between them are trustworthy; AUC fields are NaN."""
-    configs = [replace(base, **cell) for cell in cells]
-    jobs = _timing_jobs(configs, [n_candidates] * len(configs), n_requests, pool_size)
-    totals = measure_paired(jobs, n_requests, warmup)
-    return [
-        _record(config, n_candidates, n_requests, warmup, **_latency_stats(t))
-        for config, t in zip(configs, totals)
-    ]
-
-
+POOL_SIZE = 64  # simulated requests per timing cell, cycled over the steps
 STAGE_INNER = 4  # stage calls per clock window in run_scaling
 
 
-def run_scaling(base: M.ModelConfig, lengths, n_candidates,
-                n_requests: int, warmup: int, pool_size: int = 64):
-    """Stage-timed sweep over (long length, candidate count) cells.
+def _timing_job(params, config: M.ModelConfig, n_candidates: int, n_requests: int):
+    """One timing cell: (params, config, requests, candidate_lists, item_fps)."""
+    requests, cand_lists = simulated_requests(
+        config, min(POOL_SIZE, n_requests), config.seed, n_candidates
+    )
+    return params, config, requests, cand_lists, serving_fingerprints(params, config)
 
-    Untrained weights; cells interleave with a rotating lead as in
-    measure_paired.  Totals come from single predict_request calls; the
-    retrieval and attention stages are then re-run STAGE_INNER times on
-    the same prepared request inside one clock window, amortizing the
-    cache refills that the per-request bookkeeping would otherwise
-    charge to sub-millisecond stages."""
-    if isinstance(n_candidates, int):
-        n_candidates = [n_candidates]
-    grid = [(l_lt, nc) for l_lt in lengths for nc in n_candidates]
-    configs = [replace(base, l_lt=l_lt) for l_lt, _ in grid]
-    jobs = _timing_jobs(configs, [nc for _, nc in grid], n_requests, pool_size)
+
+def _time_cells(jobs, n_requests: int, warmup: int, stage_inner: int = 0):
+    """Latency stats per job, in microseconds, from one interleaved loop.
+
+    Every timed step scores one request per job with a rotating lead, so
+    slow host drift lands evenly on each cell.  With stage_inner > 0 the
+    retrieval and attention stages are then re-run stage_inner times each
+    on the request just scored, each batch inside one clock window."""
     n_jobs = len(jobs)
     totals = np.empty((n_jobs, n_requests))
     retrievals = np.empty((n_jobs, n_requests))
@@ -378,31 +274,61 @@ def run_scaling(base: M.ModelConfig, lengths, n_candidates,
                                   cand_lists[i % len(cand_lists)],
                                   params, config, item_fps=item_fps)
         for i in range(n_requests):
-            lead = i % n_jobs
             for off in range(n_jobs):
-                j = (lead + off) % n_jobs
+                j = (i + off) % n_jobs
                 params, config, requests, cand_lists, item_fps = jobs[j]
                 req = requests[i % len(requests)]
                 cands = cand_lists[i % len(cand_lists)]
                 t0 = time.perf_counter_ns()
                 M.predict_request(req, cands, params, config, item_fps=item_fps)
                 totals[j, i] = (time.perf_counter_ns() - t0) / 1e3
+                if not stage_inner:
+                    continue
                 state = M.prepare_request(req, params, config, item_fps)
                 items, cats, cand_emb = M.candidate_embeddings(cands, params, config)
                 t0 = time.perf_counter_ns()
-                for _ in range(STAGE_INNER):
+                for _ in range(stage_inner):
                     sel = M.retrieval_stage(state, items, cand_emb, cats, params, config)
-                retrievals[j, i] = (time.perf_counter_ns() - t0) / 1e3 / STAGE_INNER
+                retrievals[j, i] = (time.perf_counter_ns() - t0) / 1e3 / stage_inner
                 t0 = time.perf_counter_ns()
-                for _ in range(STAGE_INNER):
+                for _ in range(stage_inner):
                     M.attention_stage(state, cand_emb, sel, params, config)
-                attentions[j, i] = (time.perf_counter_ns() - t0) / 1e3 / STAGE_INNER
-    return [
-        _record(config, nc, n_requests, warmup, **_latency_stats(totals[j]),
-                retrieval_mean_us=float(retrievals[j].mean()),
-                attention_mean_us=float(attentions[j].mean()), stage_inner=STAGE_INNER)
-        for j, ((_, nc), config) in enumerate(zip(grid, configs))
-    ]
+                attentions[j, i] = (time.perf_counter_ns() - t0) / 1e3 / stage_inner
+    stats = [_latency_stats(t) for t in totals]
+    if stage_inner:
+        for s, r, a in zip(stats, retrievals, attentions):
+            s.update(retrieval_mean_us=float(r.mean()), attention_mean_us=float(a.mean()),
+                     stage_inner=stage_inner)
+    return stats
+
+
+def run_comparison(base: M.ModelConfig, cells, n_candidates: int,
+                   n_requests: int, warmup: int):
+    """Latency head-to-head across config tweaks, untrained weights.
+
+    All cells share one interleaved loop, so mean ratios between them are
+    trustworthy; AUC and stage fields are NaN."""
+    configs = [replace(base, **cell) for cell in cells]
+    jobs = [_timing_job(M.init_params(c), c, n_candidates, n_requests) for c in configs]
+    stats = _time_cells(jobs, n_requests, warmup)
+    return [_record(c, n_candidates, n_requests, warmup, **s) for c, s in zip(configs, stats)]
+
+
+def run_scaling(base: M.ModelConfig, lengths, n_candidates,
+                n_requests: int, warmup: int):
+    """Stage-timed sweep over (long length, candidate count) cells.
+
+    Untrained weights; all cells share one interleaved loop.  Totals come
+    from single predict_request calls; the retrieval and attention stages
+    are then re-run STAGE_INNER times on the same prepared request inside
+    one clock window, amortizing the cache refills that the per-request
+    bookkeeping would otherwise charge to sub-millisecond stages."""
+    if isinstance(n_candidates, int):
+        n_candidates = [n_candidates]
+    grid = [(replace(base, l_lt=l_lt), nc) for l_lt in lengths for nc in n_candidates]
+    jobs = [_timing_job(M.init_params(c), c, nc, n_requests) for c, nc in grid]
+    stats = _time_cells(jobs, n_requests, warmup, STAGE_INNER)
+    return [_record(c, nc, n_requests, warmup, **s) for (c, nc), s in zip(grid, stats)]
 
 
 def format_record(rec: BenchRecord) -> str:

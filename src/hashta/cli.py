@@ -148,9 +148,16 @@ def _check_vocab(config: M.ModelConfig, log: D.BehaviorLog):
         )
 
 
-def _load_fingerprints(path, params, config, item_cats):
+def _load_fingerprints(path, params, config, log: D.BehaviorLog):
+    if log.n_recategorized:
+        raise FormatError(
+            f"{log.n_recategorized} rows of the log list an item under a category other"
+            " than its first-seen one; a fingerprint table hashes each item with its"
+            " first-seen category, so table scoring would not match live hashing on"
+            " those rows (score without --fingerprints)"
+        )
     table = load_table(path)
-    M.verify_item_fingerprints(table, params, config, item_cats)
+    M.verify_item_fingerprints(table, params, config, _item_cats_from_log(log))
     return table
 
 
@@ -240,7 +247,7 @@ def cmd_eval(args) -> int:
         raise ValueError("empty test split")
     item_fps = None
     if args.fingerprints:
-        item_fps = _load_fingerprints(args.fingerprints, params, config, _item_cats_from_log(log))
+        item_fps = _load_fingerprints(args.fingerprints, params, config, log)
     result = M.evaluate(samples.test, params, config, item_fps)
     _emit(
         {
@@ -293,7 +300,7 @@ def cmd_retrieve(args) -> int:
     sample = pool[args.sample]
     item_fps = None
     if args.fingerprints:
-        item_fps = _load_fingerprints(args.fingerprints, params, config, _item_cats_from_log(log))
+        item_fps = _load_fingerprints(args.fingerprints, params, config, log)
     top = M.long_selection(sample, params, config, item_fps)
     _emit(
         {

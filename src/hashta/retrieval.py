@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Sequence, Union
 
 import numpy as np
 
@@ -64,8 +63,6 @@ from .fingerprint import Fingerprint, FingerprintTable, _check_comparable
 # buffers then total about 850 KB, inside the 2 MiB per-core L2 measured
 # on the x86_64 serving host (see the module docstring).
 _BLOCK_ELEMENTS = 1 << 16
-
-Keys = Union[FingerprintTable, Sequence[Fingerprint]]
 
 _local = threading.local()
 
@@ -85,18 +82,6 @@ class TopKResult:
 
     def __len__(self) -> int:
         return self.indices.shape[0]
-
-
-def _as_table(keys: Keys) -> FingerprintTable:
-    if isinstance(keys, FingerprintTable):
-        return keys
-    fps = list(keys)
-    if not fps:
-        return FingerprintTable(np.empty((0, 0), dtype=np.uint64), 1, 1)
-    for fp in fps[1:]:
-        _check_comparable(fps[0], fp)
-    words = np.stack([fp.words for fp in fps])
-    return FingerprintTable(words, fps[0].rounds, fps[0].bits_per_round)
 
 
 def _check_mask(valid_mask, length: int) -> np.ndarray:
@@ -160,19 +145,13 @@ def _block_keys(q: np.ndarray, kt: np.ndarray, shift: int, ctype) -> np.ndarray:
 
 
 def top_k_by_hamming(
-    query: Fingerprint, keys: Keys, valid_mask, k: int
+    query: Fingerprint, keys: FingerprintTable, valid_mask, k: int
 ) -> TopKResult:
     """k nearest keys by total Hamming distance over all rounds: one row
     of hamming_top_k_batch, so every caller selects with one routine."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    table = _as_table(keys)
-    mask = _check_mask(valid_mask, len(table))
-    if len(table) == 0:  # an empty key list has no fingerprint shape to compare
-        return TopKResult(np.empty(0, np.int64), np.empty(0, np.int64), k, 0)
     queries = FingerprintTable(query.words[None, :], query.rounds, query.bits_per_round)
-    idx, dist = hamming_top_k_batch(queries, table, mask, k)
-    return TopKResult(idx[0], dist[0], k, int(np.count_nonzero(mask)))
+    idx, dist = hamming_top_k_batch(queries, keys, valid_mask, k)
+    return TopKResult(idx[0], dist[0], k, int(np.count_nonzero(valid_mask)))
 
 
 def hamming_top_k_batch(

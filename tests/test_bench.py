@@ -5,9 +5,9 @@ import math
 import numpy as np
 
 from hashta.bench import (
+    STAGE_INNER,
     BenchRecord,
     environment_note,
-    measure_scoring,
     run_ablation,
     run_cell,
     run_comparison,
@@ -18,7 +18,8 @@ from hashta.bench import (
     write_report_json,
 )
 from hashta.data import build_category_index, build_samples, generate_synthetic, log_from_events, SyntheticSpec
-from hashta.model import ModelConfig, init_params
+import hashta.model as M
+from hashta.model import ModelConfig
 
 
 def bench_config(**kw):
@@ -52,20 +53,6 @@ def test_simulated_requests_shapes_and_determinism():
         assert all(item != 0 for item, _, _ in req.long_seq)  # always full length
     again, _ = simulated_requests(config, 5, seed=1, n_candidates=7)
     assert again == reqs
-
-
-def test_measure_scoring_returns_sane_stats():
-    config = bench_config()
-    params = init_params(config)
-    reqs, cands = simulated_requests(config, 4, seed=0, n_candidates=6)
-    stats = measure_scoring(params, config, reqs, cands, n_requests=10, warmup=2)
-    assert stats["mean_us"] > 0
-    assert stats["p50_us"] <= stats["p95_us"]
-    assert math.isnan(stats["retrieval_mean_us"])
-    staged = measure_scoring(params, config, reqs, cands, 10, 2, stage_times=True)
-    assert staged["retrieval_mean_us"] > 0
-    assert staged["attention_mean_us"] > 0
-    assert staged["mean_us"] >= staged["retrieval_mean_us"]
 
 
 def tiny_samples(l_lt=8):
@@ -118,6 +105,7 @@ def test_run_scaling_reports_stage_times():
     assert [r.l_lt for r in records] == [4, 8]
     for r in records:
         assert r.retrieval_mean_us > 0 and r.attention_mean_us > 0
+        assert r.mean_us >= r.retrieval_mean_us
         assert r.variant == "ETA"
         assert r.stage_inner > 0  # the report must say how stages were timed
 
@@ -141,6 +129,53 @@ def test_run_comparison_reports_interleaved_totals():
         assert math.isnan(r.auc)  # latency-only head-to-head
         assert r.mean_us > 0 and r.p50_us <= r.p95_us
         assert math.isnan(r.retrieval_mean_us) and r.stage_inner == 0
+
+
+def record_scoring_calls(monkeypatch):
+    """Patch the scorer and its stages to log (call, l_lt) in call order;
+    stage calls made inside predict_request are not logged."""
+    calls = []
+    depth = [0]
+
+    def recording(name, fn):
+        def wrapper(*args, **kwargs):
+            config = args[-1] if name != "predict" else args[3]
+            if depth[0] == 0:
+                calls.append((name, config.l_lt))
+            depth[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    monkeypatch.setattr(M, "predict_request", recording("predict", M.predict_request))
+    monkeypatch.setattr(M, "retrieval_stage", recording("retrieve", M.retrieval_stage))
+    monkeypatch.setattr(M, "attention_stage", recording("attend", M.attention_stage))
+    return calls
+
+
+def test_cells_share_one_loop_with_a_rotating_lead(monkeypatch):
+    calls = record_scoring_calls(monkeypatch)
+    lengths = [4, 6, 8]
+    run_comparison(bench_config(), [{"l_lt": n} for n in lengths],
+                   n_candidates=3, n_requests=5, warmup=2)
+    warm = [("predict", n) for _ in range(2) for n in lengths]
+    timed = [("predict", lengths[(i + off) % 3]) for i in range(5) for off in range(3)]
+    assert calls == warm + timed
+
+
+def test_run_scaling_repeats_each_stage_after_every_scored_request(monkeypatch):
+    calls = record_scoring_calls(monkeypatch)
+    lengths = [4, 8]
+    run_scaling(bench_config(), lengths, n_candidates=3, n_requests=3, warmup=1)
+    warm = [("predict", n) for n in lengths]
+    timed = []
+    for i in range(3):
+        for off in range(2):
+            n = lengths[(i + off) % 2]
+            timed += [("predict", n)] + [("retrieve", n)] * STAGE_INNER + [("attend", n)] * STAGE_INNER
+    assert calls == warm + timed
 
 
 def test_reports_round_trip(tmp_path):

@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -172,6 +173,34 @@ def test_eval_rejects_mismatched_data(workdir, tmp_path, capsys):
     ])
     assert code == 1
     assert "vocabulary" in capsys.readouterr().err
+
+
+def test_fingerprints_refused_on_recategorized_rows(workdir, tmp_path, capsys):
+    # move the last row of a repeated item to another known category: the
+    # vocabulary still matches the checkpoint, and one row is re-categorised
+    lines = workdir["log"].read_text().splitlines()
+    rows = [line.split(",") for line in lines]
+    counts = Counter(row[1] for row in rows)
+    last = max(n for n, row in enumerate(rows) if counts[row[1]] > 1)
+    rows[last][2] = next(row[2] for row in rows if row[2] != rows[last][2])
+    log = tmp_path / "recategorized.csv"
+    log.write_text("\n".join(",".join(row) for row in rows) + "\n")
+    table = tmp_path / "items.etaf"
+    assert main([
+        "precompute", "--checkpoint", str(workdir["ckpt"]),
+        "--data", str(workdir["log"]), "--out", str(table),
+    ]) == 0
+    capsys.readouterr()
+    common = ["--config", str(workdir["config"]), "--checkpoint", str(workdir["ckpt"]),
+              "--data", str(log)]
+    for command in ("eval", "retrieve"):
+        assert main([command, *common, "--fingerprints", str(table)]) == 1
+        err = capsys.readouterr().err
+        assert "1 rows of the log list an item under a category other than its first-seen" in err
+        assert "table scoring would not match live hashing" in err
+    code, payload = run_json(capsys, ["eval", *common])
+    assert code == 0
+    assert payload["log"]["n_recategorized"] == 1
 
 
 def test_unknown_config_key_fails_cleanly(tmp_path, capsys):

@@ -99,14 +99,6 @@ def test_all_masked_gives_empty_result():
     assert len(res) == 0 and res.n_valid == 0
 
 
-def test_sequence_of_fingerprints_accepted():
-    query, table, mask, _ = random_instance(9, 10)
-    fps = [table.row(i) for i in range(10)]
-    a = top_k_by_hamming(query, table, mask, 5)
-    b = top_k_by_hamming(query, fps, mask, 5)
-    assert a.indices.tolist() == b.indices.tolist()
-
-
 def test_invalid_args_rejected():
     query, table, mask, _ = random_instance(1, 10)
     with pytest.raises(ValueError):
