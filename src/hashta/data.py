@@ -10,13 +10,16 @@ to 1% of the file, beyond which loading fails and names the first bad
 line.
 
 The loader parses the whole file with array operations.  Only lines of a
-strict shape take that path: exactly four commas, no byte outside
-``[0-9a-z,]``, numeric fields of 1-18 digits, a known behavior token and
-a positive timestamp.  Every other line is stripped and parsed on its
-own with ``int()``, which keeps what that accepts (padding whitespace,
-signs, ``_`` separators, non-ASCII digits, ids beyond int64) and counts
-the rest as blank or malformed exactly as a per-line reader would.  The
-log is held as columns sorted by (user, timestamp), ties in file order;
+strict shape take that path: exactly four commas, numeric fields of 1-18
+ASCII digits, a known behavior token and a positive timestamp.  Every
+other line is stripped and parsed on its own with ``int()``, which keeps
+what that accepts (padding whitespace, signs, ``_`` separators, non-ASCII
+digits, ids beyond int64) and counts the rest as blank or malformed
+exactly as a per-line reader would.  The log is held as columns sorted by
+(user, timestamp), ties in file order; a log whose rows already arrive in
+that order (each user's rows together and chronological, as
+``generate_synthetic`` writes them) is recognised by one vectorised check
+and kept as it is, and any other goes through a stable sort.
 ``events_by_user`` maps each user to a list of events built on access.
 
 Samples follow the last-item protocol: per user the final event is the
@@ -182,27 +185,30 @@ def _parse_digits(digits, start, stop):
     for n in np.flatnonzero(np.bincount(length[ok])).tolist():
         rows = np.flatnonzero(ok & (length == n))
         first = start[rows]
-        acc = np.zeros(rows.size, dtype=np.int64)
-        plain = np.ones(rows.size, dtype=bool)
-        for j in range(n):
-            d = digits[first + j]
-            plain &= d <= 9
+        top = digits[first]
+        acc = top.astype(np.int64)
+        for j in range(1, n):
+            d = digits[j:][first]
+            np.maximum(top, d, out=top)
             acc *= 10
             acc += d
         value[rows] = acc
-        ok[rows] = plain
+        ok[rows] = top <= 9  # a byte outside '0'-'9' wraps to above 9
     return value, ok
 
 
 def _token_kinds(buf, start, stop):
     """Index into _TYPE_NAMES of each field buf[start:stop], -1 if unknown."""
     kind = np.full(start.shape, -1)
+    length = stop - start
+    lead = buf[start]
     for k, token in enumerate(BEHAVIOR_TOKENS):
         t = token.encode()
-        rows = np.flatnonzero((stop - start == len(t)) & (buf[start] == t[0]))
+        rows = np.flatnonzero((length == len(t)) & (lead == t[0]))
+        first = start[rows]
         match = np.ones(rows.size, dtype=bool)
         for j in range(1, len(t)):
-            match &= buf[start[rows] + j] == t[j]
+            match &= buf[j:][first] == t[j]
         kind[rows[match]] = k
     return kind
 
@@ -217,13 +223,10 @@ def _parse_log(text: str):
     stop = np.concatenate((newlines, [buf.size]))
     commas = np.flatnonzero(buf == ord(","))
     first_comma = np.searchsorted(commas, start)
-    # bytes outside [0-9a-z,\n]; uint8 arithmetic wraps, so one compare per range
+    # four-comma lines; a field holding any byte outside its digits or token
+    # fails its check below and the line is then read on its own
+    strict = np.flatnonzero(np.diff(first_comma, append=commas.size) == 4)
     digits = buf - np.uint8(ord("0"))
-    odd = np.flatnonzero(
-        (digits > 9) & (buf - np.uint8(ord("a")) > 25) & (buf != ord(",")) & (buf != ord("\n"))
-    )
-    n_odd = np.diff(np.searchsorted(odd, start), append=odd.size)
-    strict = np.flatnonzero((np.diff(first_comma, append=commas.size) == 4) & (n_odd == 0))
 
     cuts = commas[first_comma[strict, None] + np.arange(4)]
     lo = [start[strict], *(cuts.T + 1)]  # field f of strict line r is lo[f][r]:hi[f][r]
@@ -266,12 +269,19 @@ def _parse_log(text: str):
 def _dense_ids(raw):
     """Dense 1-based ids of raw in first-appearance order, the raw -> dense
     map, and the row where each dense id first appears."""
-    uniq, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
+    order = np.argsort(raw)
+    ordered = raw[order]
+    head = np.ones(raw.size, dtype=bool)  # first row of each run of equal ids
+    head[1:] = ordered[1:] != ordered[:-1]
+    starts = np.flatnonzero(head)
+    first = np.minimum.reduceat(order, starts)
     by_appearance = np.argsort(first)
-    dense = np.empty(uniq.size, dtype=np.int64)
-    dense[by_appearance] = np.arange(1, uniq.size + 1)
-    id_map = dict(zip(uniq[by_appearance].tolist(), range(1, uniq.size + 1)))
-    return dense[inverse], id_map, first[by_appearance]
+    dense = np.empty(starts.size, dtype=np.int64)
+    dense[by_appearance] = np.arange(1, starts.size + 1)
+    ids = np.empty(raw.size, dtype=np.int64)
+    ids[order] = dense[np.cumsum(head) - 1]
+    id_map = dict(zip(ordered[starts[by_appearance]].tolist(), range(1, starts.size + 1)))
+    return ids, id_map, first[by_appearance]
 
 
 def _index_log(user, item, category, behavior, ts, n_rows, n_malformed) -> BehaviorLog:
@@ -282,16 +292,19 @@ def _index_log(user, item, category, behavior, ts, n_rows, n_malformed) -> Behav
     c, category_map, _ = _dense_ids(category)
     first_cat = np.zeros(len(item_map) + 1, dtype=np.int64)
     first_cat[1:] = c[first_row]
-    order = np.lexsort((ts, u))
+    n_recategorized = int(np.count_nonzero(c != first_cat[i]))
+    step = np.diff(u)
+    if not np.all((step > 0) | (step == 0) & (ts[1:] >= ts[:-1])):
+        # rows not already in (user, timestamp) order: stable sort
+        order = np.lexsort((ts, u))
+        i, c, behavior, ts = i[order], c[order], behavior[order], ts[order]
     offsets = np.zeros(len(user_map) + 1, dtype=np.int64)
     np.cumsum(np.bincount(u, minlength=len(user_map) + 1)[1:], out=offsets[1:])
-    events = UserEvents(
-        range(1, len(user_map) + 1), offsets, i[order], c[order], behavior[order], ts[order]
-    )
+    events = UserEvents(range(1, len(user_map) + 1), offsets, i, c, behavior, ts)
     return BehaviorLog(
         events, user_map, item_map, category_map,
         dict(zip(range(1, len(item_map) + 1), first_cat[1:].tolist())),
-        n_rows, n_malformed, int(np.count_nonzero(c != first_cat[i])),
+        n_rows, n_malformed, n_recategorized,
     )
 
 

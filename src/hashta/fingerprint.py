@@ -149,17 +149,6 @@ class FingerprintTable:
         return FingerprintTable(np.take(self.words, ids, axis=0), self.rounds, self.bits_per_round)
 
 
-def _pack_bits(bits: np.ndarray) -> np.ndarray:
-    """(n, m) 0/1 -> (n, ceil(m/64)) uint64, bit j at word j//64 position j%64."""
-    n, m = bits.shape
-    padded_cols = 64 * ((m + 63) // 64)
-    if padded_cols != m:
-        padded = np.zeros((n, padded_cols), dtype=np.uint8)
-        padded[:, :m] = bits
-        bits = padded
-    return np.packbits(bits, axis=-1, bitorder="little").view("<u8").astype(np.uint64)
-
-
 def fingerprint_batch(embeddings: np.ndarray, family: HashFamily) -> FingerprintTable:
     """Hash each row of (n, dim) embeddings.  Wraps all rounds into packed words."""
     emb = np.asarray(embeddings, dtype=np.float64)
@@ -168,13 +157,13 @@ def fingerprint_batch(embeddings: np.ndarray, family: HashFamily) -> Fingerprint
             f"embeddings shape {emb.shape} incompatible with family dim {family.dim}"
         )
     n = emb.shape[0]
-    parts = []
+    words = np.zeros((n, family.words), dtype="<u8")
+    # byte b of a round's little-endian words holds its bits 8b..8b+7, lowest first
+    round_bytes = words.view(np.uint8).reshape(n, family.rounds, 8 * family.words // family.rounds)
     for r in range(family.rounds):
-        proj = emb @ family.projections[r]
-        bits = (proj >= 0.0).astype(np.uint8)
-        parts.append(_pack_bits(bits))
-    words = np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0]
-    return FingerprintTable(np.ascontiguousarray(words), family.rounds, family.bits_per_round)
+        bits = np.packbits(emb @ family.projections[r] >= 0.0, axis=-1, bitorder="little")
+        round_bytes[:, r, :bits.shape[1]] = bits
+    return FingerprintTable(words.astype(np.uint64, copy=False), family.rounds, family.bits_per_round)
 
 
 def simhash(embedding: np.ndarray, family: HashFamily) -> Fingerprint:

@@ -712,13 +712,18 @@ def evaluate(samples, params: ModelParams, config: ModelConfig,
     return EvalResult(auc(scores, labels), scores, labels)
 
 
+def _item_categories(item_cats, config: ModelConfig) -> np.ndarray:
+    cats = np.asarray(item_cats, dtype=np.int64)
+    if cats.shape != (config.n_items + 1,):
+        raise ValueError(f"item_cats shape {cats.shape}, expected ({config.n_items + 1},)")
+    return cats
+
+
 def fingerprint_items(params: ModelParams, config: ModelConfig, item_cats: np.ndarray) -> FingerprintTable:
     """Per-item fingerprint table over ids 0..n_items.
 
     item_cats[i] is the category of item i (0 for the padding row)."""
-    cats = np.asarray(item_cats, dtype=np.int64)
-    if cats.shape != (config.n_items + 1,):
-        raise ValueError(f"item_cats shape {cats.shape}, expected ({config.n_items + 1},)")
+    cats = _item_categories(item_cats, config)
     vecs = params.item_emb + params.cat_emb[cats]
     vecs[0] = 0.0
     return fingerprint_batch(vecs, params.family)
@@ -736,7 +741,7 @@ def verify_item_fingerprints(table: FingerprintTable, params: ModelParams,
         raise FormatError(
             f"fingerprint table has {len(table)} rows, config wants {config.n_items + 1}"
         )
-    cats = np.asarray(item_cats, dtype=np.int64)
+    cats = _item_categories(item_cats, config)
     probe = np.unique(np.linspace(1, config.n_items, num=min(64, config.n_items), dtype=np.int64))
     vecs = params.item_emb[probe] + params.cat_emb[cats[probe]]
     fresh = fingerprint_batch(vecs, params.family)

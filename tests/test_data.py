@@ -526,6 +526,19 @@ def test_loader_matches_per_line_oracle(scratch_csv, text):
         assert_same_log(got, want)
 
 
+def test_loader_matches_oracle_on_ordered_and_unordered_logs(tmp_path):
+    # the loader keeps rows that arrive in (user, timestamp) order as they are
+    # and sorts any others; the hypothesis logs above are rarely ordered
+    events, _ = generate_synthetic(SyntheticSpec(n_users=25, n_items=400, n_categories=8,
+                                                 events_per_user=200, seed=3))
+    shuffled = [events[j] for j in np.random.default_rng(0).permutation(len(events))]
+    one_user_reversed = events[:200] + events[200:400][::-1] + events[400:]
+    path = tmp_path / "log.csv"
+    for rows in (events, shuffled, one_user_reversed):
+        write_behavior_log(path, rows)
+        assert_same_log(load_behavior_log(path), oracle_load_behavior_log(path))
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     text=csv_texts(), l_st=st.integers(1, 4), l_lt=st.integers(1, 6),

@@ -136,7 +136,11 @@ def test_positive_scaling_is_invariant(seed, scale, dim):
     assert hamming(simhash(v, fam), simhash(scale * v, fam)) == 0
 
 
-@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 70), st.integers(1, 3))
+@given(
+    st.integers(0, 2**32 - 1), st.integers(1, 6),
+    st.integers(1, 70) | st.integers(71, 140),  # rounds of one, two and three words
+    st.integers(1, 3),
+)
 @settings(max_examples=40, deadline=None)
 def test_packed_bits_match_naive_projection_signs(seed, dim, m, rounds):
     fam = new_hash_family(dim, m, rounds, seed=77)

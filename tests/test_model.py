@@ -189,6 +189,10 @@ def test_verify_rejects_stale_or_mismatched_tables():
     params = init_params(config)
     cats = np.array([0] + [cat_of(i) for i in range(1, 31)])
     table = fingerprint_items(params, config, cats)
+    for wrong in (cats[:16], np.concatenate((cats, [1, 2, 3]))):  # too short, too long
+        with pytest.raises(ValueError) as err:
+            verify_item_fingerprints(table, params, config, wrong)
+        assert f"shape {wrong.shape}, expected {cats.shape}" in str(err.value)
     params.item_emb[5] += 3.0  # weights moved on: table is now stale
     with pytest.raises(FormatError) as err:
         verify_item_fingerprints(table, params, config, cats)
