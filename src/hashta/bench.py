@@ -172,7 +172,8 @@ def _record(config: M.ModelConfig, n_candidates: int, n_requests: int, warmup: i
 
 
 def simulated_requests(config: M.ModelConfig, n: int, seed: int, n_candidates: int):
-    """Random full-length request pool plus candidate lists."""
+    """Random full-length request pool plus candidate lists; windows are
+    read-only (n, 3) int64 arrays."""
     rng = np.random.default_rng(seed)
     now = 1_700_000_000
     requests = []
@@ -180,10 +181,10 @@ def simulated_requests(config: M.ModelConfig, n: int, seed: int, n_candidates: i
     for _ in range(n):
         def seq(length):
             items = rng.integers(1, config.n_items + 1, size=length)
-            return tuple(
-                (int(it), item_category_of(int(it), config.n_categories), now - 3600 * (length - j))
-                for j, it in enumerate(items)
-            )
+            rows = np.stack((items, item_category_of(items, config.n_categories),
+                             now - 3600 * np.arange(length, 0, -1)), axis=1)
+            rows.flags.writeable = False
+            return rows
         requests.append(
             M.Request(
                 int(rng.integers(1, config.n_users + 1)),

@@ -302,6 +302,7 @@ def cmd_retrieve(args) -> int:
     if args.fingerprints:
         item_fps = _load_fingerprints(args.fingerprints, params, config, log)
     top = M.long_selection(sample, params, config, item_fps)
+    picked = sample.long_seq[top.indices]
     _emit(
         {
             "variant": config.variant,
@@ -314,8 +315,8 @@ def cmd_retrieve(args) -> int:
             "n_valid": top.n_valid,
             "positions": top.indices.tolist(),
             "scores": np.asarray(top.scores).tolist(),
-            "items": [sample.long_seq[i][0] for i in top.indices.tolist()],
-            "categories": [sample.long_seq[i][1] for i in top.indices.tolist()],
+            "items": picked[:, 0].tolist(),
+            "categories": picked[:, 1].tolist(),
         }
     )
     return 0

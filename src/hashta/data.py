@@ -28,7 +28,12 @@ windows, and negatives are drawn from the positive's category excluding
 everything the user ever touched (falling back to the global pool for
 degenerate categories).  The split is chronological 80/10/10 over
 impressions ordered by timestamp, so the validation and test periods
-never precede training data.
+never precede training data.  ``build_samples`` creates no per-event
+Python object: it gathers every user's window rows from the log's columns
+into one read-only (rows, 3) int64 matrix of (item, category, timestamp),
+each user's short and long window are views of its block, shared by the
+positive and its negatives, and the negative pool is filtered with a
+boolean mark over the category index's items.
 
 The synthetic generator plants a long-term structure: each user gets a
 few interest categories and a small pool of favorite items inside them.
@@ -46,7 +51,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -352,9 +357,38 @@ def build_category_index(log: BehaviorLog) -> dict:
     return index
 
 
-@dataclass(frozen=True)
-class Sample:
-    """One scoring instance: a candidate item against a user state."""
+def _window_rows(window) -> tuple:
+    return tuple(map(tuple, window.tolist() if isinstance(window, np.ndarray) else window))
+
+
+class _WindowedValue:
+    """Equality and hash by value for records with ``short_seq`` and
+    ``long_seq`` windows: an (n, 3) array window equals the same rows held
+    as a tuple of (item, category, ts) tuples."""
+
+    def _value(self) -> tuple:
+        return tuple(
+            _window_rows(getattr(self, f.name)) if f.name.endswith("_seq") else getattr(self, f.name)
+            for f in fields(self)
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._value() == other._value()
+
+    def __hash__(self):
+        return hash(self._value())
+
+
+@dataclass(frozen=True, eq=False)
+class Sample(_WindowedValue):
+    """One scoring instance: a candidate item against a user state.
+
+    A window is an (n, 3) integer array of (item, category, ts) rows, oldest
+    first, or a sequence of such row tuples.  build_samples stores read-only
+    int64 arrays (object only for values beyond int64) and gives a
+    positive and its negatives the same arrays."""
 
     user_id: int
     target_item: int
@@ -362,8 +396,8 @@ class Sample:
     context_bucket: int
     timestamp: int  # impression time
     label: int
-    short_seq: tuple  # ((item, category, ts), ...) oldest first, len <= L_st
-    long_seq: tuple  # same, len <= L_lt
+    short_seq: np.ndarray  # n <= L_st
+    long_seq: np.ndarray  # n <= L_lt; built windows are views of one array
 
 
 @dataclass
@@ -403,48 +437,70 @@ def build_samples(
         raise ValueError(f"negatives_per_positive must be >= 0, got {negatives_per_positive}")
     if not isinstance(sequences, UserEvents):
         sequences = UserEvents.from_dict(sequences)
-    item_of_cat = category_index
     cat_of_item = {}
-    for cat, items in item_of_cat.items():
-        for item in items:
+    for cat, members in category_index.items():
+        for item in members:
             cat_of_item[item] = cat
     all_items = np.array(sorted(cat_of_item), dtype=np.int64)
+    # each index item's position in all_items, per category in the index's order
+    slots_of_cat = {
+        cat: np.searchsorted(all_items, np.array(members, dtype=np.int64))
+        for cat, members in category_index.items()
+    }
+    no_slots = np.empty(0, dtype=np.intp)
+    items, cats, stamps = sequences.item, sequences.category, sequences.timestamp
+    # each event's item position in all_items; all_items.size (a spare mark) if absent
+    if all_items.size and all_items[-1] - all_items[0] == all_items.size - 1:
+        pos = items - all_items[0]  # a run of ids, as a loaded log's index is
+        known = (pos >= 0) & (pos < all_items.size)
+    else:
+        pos = np.searchsorted(all_items, items)
+        known = pos < all_items.size
+        known[known] = all_items[pos[known]] == items[known]
+    slot = np.where(known, pos, all_items.size).astype(np.int64)
+    seen = np.zeros(all_items.size + 1, dtype=bool)  # cleared after each user
+    # each user's history: the rows older than its last one (a comparison, not
+    # a sorted search: a dict's lists need not be in time order)
+    offsets = sequences.offsets
+    counts = np.diff(offsets)
+    history = np.flatnonzero(stamps < stamps[np.repeat(offsets[1:] - 1, counts)])
+    n_hist = np.bincount(np.repeat(np.arange(counts.size), counts)[history],
+                         minlength=counts.size)
+    n_win = np.minimum(n_hist, max(l_st, l_lt))
+    # every user's last n_win history rows, stacked into one read-only matrix
+    rows = history[np.arange(history.size) >= np.repeat(np.cumsum(n_hist) - n_win, n_hist)]
+    windows = np.stack((items[rows], cats[rows], stamps[rows]), axis=1)  # object only past int64
+    windows.flags.writeable = False
+    active = np.flatnonzero(n_hist)
+    last = offsets[1:][active] - 1
     rng = np.random.default_rng(seed)
     units = []  # (ts, user, [samples]) kept together across the split
-    skipped = 0
     fallback = 0
     dropped_negatives = 0
-    items, cats, stamps = sequences.item, sequences.category, sequences.timestamp
-    bounds = sequences.offsets.tolist()
-    for user, lo, hi in zip(sequences.users, bounds[:-1], bounds[1:]):
-        if hi - lo < 2:
-            skipped += 1
-            continue
-        target_ts = int(stamps[hi - 1])
-        # a comparison, not a sorted search: a dict's lists need not be in time order
-        history = lo + np.flatnonzero(stamps[lo:hi - 1] < target_ts)
-        if not history.size:
-            skipped += 1
-            continue
-        rows = history[-max(l_st, l_lt):]
-        window = tuple(zip(items[rows].tolist(), cats[rows].tolist(), stamps[rows].tolist()))
+    bounds = offsets.tolist()
+    for j, end, m, target_item, target_cat, target_ts in zip(
+        active.tolist(), np.cumsum(n_win)[active].tolist(), n_win[active].tolist(),
+        items[last].tolist(), cats[last].tolist(), stamps[last].tolist(),
+    ):
+        user, lo, hi = sequences.users[j], bounds[j], bounds[j + 1]
+        window = windows[end - m:end]
         short, long = window[-l_st:], window[-l_lt:]
-        target_item, target_cat = int(items[hi - 1]), int(cats[hi - 1])
         ctx = _context_bucket(target_ts)
-        seen = set(items[lo:hi].tolist())
         samples = [Sample(user, target_item, target_cat, ctx, target_ts, 1, short, long)]
         if negatives_per_positive > 0:
-            pool = [i for i in item_of_cat.get(target_cat, ()) if i not in seen]
-            if not pool:
-                pool = [i for i in all_items.tolist() if i not in seen]
-                if pool:
+            seen[slot[lo:hi]] = True
+            slots = slots_of_cat.get(target_cat, no_slots)
+            pool = all_items[slots[~seen[slots]]]
+            if not pool.size:
+                pool = all_items[~seen[:-1]]
+                if pool.size:
                     fallback += 1
-            if not pool:
+            seen[slot[lo:hi]] = False
+            if not pool.size:
                 dropped_negatives += negatives_per_positive
             else:
-                arr = np.array(pool, dtype=np.int64)
                 picks = rng.choice(
-                    arr, size=negatives_per_positive, replace=len(arr) < negatives_per_positive
+                    pool, size=negatives_per_positive, replace=pool.size < negatives_per_positive
                 )
                 for item in picks.tolist():
                     samples.append(
@@ -460,7 +516,7 @@ def build_samples(
     test = [s for _, _, ss in units[cut_val:] for s in ss]
     stats = {
         "users_total": len(sequences),
-        "users_skipped": skipped,
+        "users_skipped": len(sequences) - active.size,
         "fallback_negatives": fallback,
         "dropped_negatives": dropped_negatives,
         "units": n,

@@ -58,7 +58,7 @@ from typing import Optional
 import numpy as np
 
 from .attention import AttentionInput, MHTAParams, mhta_backward, mhta_with_cache
-from .data import Sample, SECONDS_PER_DAY
+from .data import Sample, SECONDS_PER_DAY, _WindowedValue
 from ._scratch import scratch_buf
 from .errors import FormatError, NumericError
 from .fingerprint import FingerprintTable, HashFamily, fingerprint_batch, new_hash_family, simhash
@@ -286,7 +286,17 @@ def _check_id(name, value, hi, allow_zero=False):
         raise ValueError(f"{name}={value} outside [{lo}, {hi}]")
 
 
-def _seq_arrays(seq):
+def _seq_arrays(seq, name: str):
+    """Item, category and timestamp columns of a window: an (n, 3) integer
+    array's own columns, or a sequence of (item, category, ts) rows read
+    into int64."""
+    if isinstance(seq, np.ndarray) and seq.dtype != object:
+        integer = seq.dtype.kind in "iu" and np.can_cast(seq.dtype, np.int64)
+        if seq.ndim != 2 or seq.shape[1] != 3 or not integer:
+            raise ValueError(f"{name} array must be (n, 3) integers, got {seq.dtype} {seq.shape}")
+        arr = seq.astype(np.int64, copy=False)
+        return arr[:, 0], arr[:, 1], arr[:, 2]
+    # tuple rows, and object arrays (ids past int64, refused by fromiter)
     if len(seq) == 0:
         z = np.empty(0, dtype=np.int64)
         return z, z, z
@@ -307,7 +317,7 @@ class _SeqData:
 
 
 def _embed_sequence(seq, now, params: ModelParams, config: ModelConfig, name: str) -> _SeqData:
-    items, cats, ts = _seq_arrays(seq)
+    items, cats, ts = _seq_arrays(seq, name)
     n = items.shape[0]
     if n and (items.min() < 0 or items.max() > config.n_items):
         raise ValueError(f"{name} item id outside [0, {config.n_items}]")
@@ -753,13 +763,20 @@ def verify_item_fingerprints(table: FingerprintTable, params: ModelParams,
 # request scoring (one user state, many candidates)
 
 
-@dataclass(frozen=True)
-class Request:
+@dataclass(frozen=True, eq=False)
+class Request(_WindowedValue):
+    """One user state to score candidates against.
+
+    Windows take the same forms as a Sample's: an (n, 3) integer array of
+    (item, category, ts) rows, whose columns are read as they are, or a
+    sequence of such row tuples, read into int64.  A float array or one of
+    any other shape is refused with a ValueError."""
+
     user_id: int
     context_bucket: int
     timestamp: int
-    short_seq: tuple
-    long_seq: tuple
+    short_seq: np.ndarray  # n <= L_st, oldest first
+    long_seq: np.ndarray  # n <= L_lt
 
 
 class RequestState:

@@ -17,7 +17,10 @@ from hashta.bench import (
     write_report_csv,
     write_report_json,
 )
-from hashta.data import build_category_index, build_samples, generate_synthetic, log_from_events, SyntheticSpec
+from hashta.data import (
+    SyntheticSpec, build_category_index, build_samples, generate_synthetic, item_category_of,
+    log_from_events,
+)
 import hashta.model as M
 from hashta.model import ModelConfig
 
@@ -53,6 +56,29 @@ def test_simulated_requests_shapes_and_determinism():
         assert all(item != 0 for item, _, _ in req.long_seq)  # always full length
     again, _ = simulated_requests(config, 5, seed=1, n_candidates=7)
     assert again == reqs
+
+
+def test_simulated_requests_draw_the_tuple_form_values():
+    # the rows the pool held as tuples of Python ints, from the same draws in the same order
+    config = bench_config(n_items=1000, n_categories=7, l_st=5, l_lt=64)
+    reqs, cands = simulated_requests(config, 6, seed=4, n_candidates=9)
+    rng = np.random.default_rng(4)
+    now = 1_700_000_000
+
+    def seq(length):
+        items = rng.integers(1, config.n_items + 1, size=length)
+        return [[int(it), item_category_of(int(it), 7), now - 3600 * (length - j)]
+                for j, it in enumerate(items)]
+
+    for req, cl in zip(reqs, cands):
+        want = (int(rng.integers(1, config.n_users + 1)), int(rng.integers(1, config.n_contexts + 1)),
+                now, seq(config.l_st), seq(config.l_lt))
+        assert (req.user_id, req.context_bucket, req.timestamp, req.short_seq.tolist(),
+                req.long_seq.tolist()) == want
+        for window in (req.short_seq, req.long_seq):
+            assert window.dtype == np.int64 and not window.flags.writeable
+        items = rng.integers(1, config.n_items + 1, size=9)
+        assert cl == [(int(it), item_category_of(int(it), 7)) for it in items]
 
 
 def tiny_samples(l_lt=8):

@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 from hashta.cli import main
+from hashta.data import load_behavior_log
 from hashta.fingerprint import load_table
 
 CONFIG_TEXT = """
@@ -140,6 +141,23 @@ def test_retrieve_prints_selection(workdir, capsys):
     assert len(payload["items"]) == len(payload["positions"])
     assert all(0 <= p < payload["long_length"] for p in payload["positions"])
     assert payload["n_valid"] <= payload["long_length"]
+
+
+def test_retrieve_reports_the_picked_rows_of_the_log(workdir, capsys):
+    code, payload = run_json(capsys, [
+        "retrieve", "--config", str(workdir["config"]),
+        "--checkpoint", str(workdir["ckpt"]), "--data", str(workdir["log"]),
+        "--sample", "1", "--k", "3",
+    ])
+    assert code == 0
+    assert all(type(v) is int for v in payload["items"] + payload["categories"])
+    # the sample's long window: the last l_lt events before the user's last one
+    events = load_behavior_log(workdir["log"]).events_by_user[payload["user_id"]]
+    window = [e for e in events[:-1] if e.timestamp < events[-1].timestamp][-8:]
+    assert payload["long_length"] == len(window)
+    assert payload["items"] == [window[p].item_id for p in payload["positions"]]
+    assert payload["categories"] == [window[p].category_id for p in payload["positions"]]
+    assert len(payload["positions"]) == 3
 
 
 def test_retrieve_rejects_bad_sample_index(workdir, capsys):

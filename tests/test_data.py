@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from hashta.data import (
     SECONDS_PER_DAY,
 )
 from hashta.errors import FormatError
+from hashta.model import ModelConfig, init_params, loss_and_gradients
 from oracles import interest_oracle
 
 
@@ -137,8 +139,8 @@ def test_positive_sample_windows_and_context():
     assert (s.user_id, s.target_item, s.target_category, s.label) == (1, 4, 2, 1)
     assert s.timestamp == 7200
     assert s.context_bucket == (7200 // 3600) % 24 + 1
-    assert s.short_seq == ((2, 1, 200), (3, 2, 300))
-    assert s.long_seq == ((1, 1, 100), (2, 1, 200), (3, 2, 300))
+    assert s.short_seq.tolist() == [[2, 1, 200], [3, 2, 300]]
+    assert s.long_seq.tolist() == [[1, 1, 100], [2, 1, 200], [3, 2, 300]]
 
 
 def test_negatives_same_category_never_seen():
@@ -153,9 +155,41 @@ def test_negatives_same_category_never_seen():
     for s in negs:
         assert s.target_category == 1
         assert s.target_item in (4, 5, 6)  # 1..3 were touched by the user
-        assert s.short_seq == negs[0].short_seq  # windows copied from the positive
+        assert s.short_seq.tolist() == negs[0].short_seq.tolist()  # windows copied from the positive
     pos = [s for s in ss if s.label == 1]
     assert len(pos) == 1 and pos[0].target_item == 3
+
+
+def test_windows_are_shared_read_only_int64_rows():
+    events, _ = generate_synthetic(SyntheticSpec(n_users=30, n_items=60, n_categories=4,
+                                                 events_per_user=30, seed=5))
+    log = log_from_events(events)
+    ss = build_samples(log.events_by_user, 4, 10, 2, build_category_index(log), 0)
+    positive = {s.user_id: s for s in ss if s.label == 1}
+    for s in ss:
+        for window, length in ((s.short_seq, 4), (s.long_seq, 10)):
+            assert window.dtype == np.int64 and window.shape == (length, 3)
+            assert not window.flags.writeable
+        assert np.shares_memory(s.short_seq, s.long_seq)
+        pos = positive[s.user_id]
+        assert s.short_seq is pos.short_seq and s.long_seq is pos.long_seq
+
+    def tupled(s):
+        return replace(s, **{name: tuple(map(tuple, getattr(s, name).tolist()))
+                             for name in ("short_seq", "long_seq")})
+
+    batch = ss.train[:12]
+    for variant in ("ETA", "FULL_TA"):
+        config = ModelConfig(d=4, l_st=4, l_lt=10, k=3, n_heads=2, m=8, n_rounds=2,
+                             variant=variant, use_time_buckets=True, mlp_widths=(6,), seed=1,
+                             n_items=log.n_items, n_categories=log.n_categories,
+                             n_users=log.n_users)
+        params = init_params(config)
+        loss, grads = loss_and_gradients(batch, params, config)
+        want_loss, want_grads = loss_and_gradients([tupled(s) for s in batch], params, config)
+        assert loss == want_loss
+        for name, g in want_grads.items():
+            np.testing.assert_array_equal(grads[name], g, err_msg=name)
 
 
 def test_negative_fallback_and_drop_accounting():
@@ -549,15 +583,19 @@ def test_build_samples_matches_oracle_on_loaded_logs(scratch_csv, text, l_st, l_
     got, want = _load_both(scratch_csv, text)
     if isinstance(want, str):
         return
-    index = build_category_index(got)
-    expected = oracle_build_samples(want.events_by_user, l_st, l_lt, negatives, index, seed)
-    for sequences in (got.events_by_user, want.events_by_user):
-        assert_same_samples(build_samples(sequences, l_st, l_lt, negatives, index, seed), expected)
+    full = build_category_index(got)
+    # the loaded index is a run of ids; one with gaps is looked up another way
+    gapped = {cat: [i for i in items if i % 3] for cat, items in full.items()}
+    for index in (full, gapped):
+        expected = oracle_build_samples(want.events_by_user, l_st, l_lt, negatives, index, seed)
+        for sequences in (got.events_by_user, want.events_by_user):
+            assert_same_samples(build_samples(sequences, l_st, l_lt, negatives, index, seed),
+                                expected)
     # a plain dict whose lists are out of time order is read as given, last event the target
     shuffled = {u: rnd.sample(evs, len(evs)) for u, evs in want.events_by_user.items()}
     assert_same_samples(
-        build_samples(shuffled, l_st, l_lt, negatives, index, seed),
-        oracle_build_samples(shuffled, l_st, l_lt, negatives, index, seed),
+        build_samples(shuffled, l_st, l_lt, negatives, full, seed),
+        oracle_build_samples(shuffled, l_st, l_lt, negatives, full, seed),
     )
 
 

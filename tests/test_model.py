@@ -1,4 +1,5 @@
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -612,6 +613,58 @@ def test_predict_request_handles_empty_inputs():
         sel = retrieval_stage(state, items, emb, cats, params, config)
         long_rep = attention_stage(state, emb, sel, params, config)
         assert finish_stage(state, emb, long_rep, params, config).shape == (0,), variant
+
+
+def with_array_windows(record, dtype=np.int64):
+    """The same Sample or Request with (n, 3) integer array windows."""
+    return replace(record, **{name: np.array(getattr(record, name), dtype=dtype).reshape(-1, 3)
+                              for name in ("short_seq", "long_seq")})
+
+
+@pytest.mark.parametrize("variant,table,extra", [
+    ("ETA", True, {}), ("ETA", False, {}), ("ETA", False, {"use_time_buckets": True}),
+    ("FULL_TA", False, {}), ("FULL_TA", False, {"use_time_buckets": True}),
+])
+def test_array_windows_score_bit_identically_to_tuple_windows(variant, table, extra):
+    rng = np.random.default_rng(33)
+    config = tiny_config(variant=variant, **extra)
+    params = init_params(config)
+    item_fps = None
+    if table:
+        cats = np.array([0] + [cat_of(i) for i in range(1, config.n_items + 1)])
+        item_fps = fingerprint_items(params, config, cats)
+    cands = [(int(i), cat_of(int(i))) for i in rng.integers(1, 31, size=9)]
+    for n_long, n_pad in ((6, 2), (8, 0), (3, 5), (0, 0)):
+        tupled = mk_sample(rng, n_long=n_long, n_pad_long=n_pad)
+        for arrayed in (with_array_windows(tupled), with_array_windows(tupled, np.int32)):
+            assert arrayed == tupled and hash(arrayed) == hash(tupled)
+            assert (forward(arrayed, params, config, item_fps)
+                    == forward(tupled, params, config, item_fps))
+            np.testing.assert_array_equal(
+                predict_request(request_from_sample(arrayed), cands, params, config, item_fps),
+                predict_request(request_from_sample(tupled), cands, params, config, item_fps),
+            )
+
+
+def test_window_arrays_are_checked_like_tuple_windows():
+    config = tiny_config(variant="FULL_TA")
+    params = init_params(config)
+    good = with_array_windows(mk_sample(np.random.default_rng(34), n_long=6))
+    cands = [(1, 1)]
+    rows = good.long_seq
+    refused = (rows.astype(np.float64), rows.astype(np.uint64), rows.astype(bool), rows[:, :2],
+               np.concatenate([rows, rows[:, :1]], axis=1), rows[:2].reshape(-1), rows[:, :, None])
+    for score in (lambda s: forward(s, params, config),
+                  lambda s: predict_request(request_from_sample(s), cands, params, config)):
+        for bad in refused:
+            with pytest.raises(ValueError, match=r"^long_seq array must be \(n, 3\) integers"):
+                score(replace(good, long_seq=bad))
+        with pytest.raises(ValueError, match=r"^long_seq length 12 exceeds l_lt=8$"):
+            score(replace(good, long_seq=np.concatenate([rows, rows])))
+        with pytest.raises(ValueError, match=r"^long_seq item id outside \[0, 30\]$"):
+            score(replace(good, long_seq=rows + np.array([31, 0, 0])))
+        with pytest.raises(ValueError, match=r"^short_seq category id outside \[0, 5\]$"):
+            score(replace(good, short_seq=good.short_seq + np.array([0, 5, 0])))
 
 
 def test_retrieval_stage_rows_match_single_selection():
