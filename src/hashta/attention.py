@@ -1,19 +1,24 @@
-"""Multi-head target attention over a behavior sequence, per sample.
+"""Multi-head target attention of a batch of queries over padded row sets.
 
-One query (the candidate item embedding) attends over the sequence rows.
-Per head: Q = t W_q, K = S W_k, V = S W_v, weights = softmax(alpha * K Q)
-over valid positions, head = weights V; heads are concatenated and mixed
-by W_o.  Padding positions are excluded from the softmax, a fully masked
-or empty sequence yields the zero vector, and the softmax is computed
-with a max shift so large logits cannot overflow.
+Query b (a candidate item embedding) attends over the rows of its own
+(W, d) block where mask[b] is set.  Per head: Q = t W_q, K = S W_k,
+V = S W_v, weights = softmax(alpha * K Q) over valid rows, head =
+weights V; heads are concatenated and mixed by W_o.  Padding rows get
+weight exactly zero, a block with no valid row (or W = 0) yields the zero
+vector, and the softmax is shifted by the row max so large logits cannot
+overflow.
 
-This is the per-sample forward and backward that training and the
-scoring oracle use.  Retrieving variants pass only their selected rows,
-in ascending sequence order, so with k >= L they run the exact
-floating-point operations of full attention.  Gradients are analytic
-(derived by hand, checked against central differences in the tests);
-the selection is a fixed gather, so gradients flow into the selected
-rows and the projections, never into the selection itself.
+The projections are folded so the rows are never projected: the logits
+are S (alpha W_k q) and each head is (weights S) W_v, so only two batched
+products, (heads x d) by (d x W) and (heads x W) by (W x d), touch the
+rows of each query.  Gradients are analytic (derived by hand from the same
+form, checked against central differences in the tests).  Retrieving
+variants pass only their selected rows, so the selection is a fixed
+gather: gradients flow into the selected rows and the projections, never
+into the selection itself.  Training, evaluation and the float64
+reference forward run these two functions; request serving folds the
+same algebra across candidates that share one history (see
+model.attention_stage).
 """
 
 from __future__ import annotations
@@ -46,96 +51,44 @@ class MHTAParams:
         return self.wq.shape[2]
 
 
-@dataclass(frozen=True)
-class AttentionInput:
-    target: np.ndarray  # (d,)
-    sequence: np.ndarray  # (L, d)
-    valid_mask: np.ndarray  # (L,) bool
+def masked_attention(query: np.ndarray, rows: np.ndarray, mask: np.ndarray, params: MHTAParams):
+    """(B, d_out) outputs for query (B, d) over rows (B, W, d) where mask
+    (B, W) is set, and the cache masked_attention_backward reads."""
+    b, w, d = rows.shape
+    if query.shape != (b, d) or mask.shape != (b, w) or d != params.d:
+        raise ValueError(f"query {query.shape}, rows {rows.shape} and mask {mask.shape}"
+                         f" do not fit d={params.d}")
+    q = np.matmul(query, params.wq)  # (n_heads, B, d_head)
+    qk = (params.alpha * np.matmul(q, params.wk.transpose(0, 2, 1))).transpose(1, 0, 2)  # (B, H, d)
+    logits = np.where(mask[:, None, :], np.matmul(qk, rows.transpose(0, 2, 1)), -np.inf)
+    top = logits.max(axis=2, keepdims=True, initial=-np.inf)
+    top[top == -np.inf] = 0.0  # no valid row: every weight below comes out 0
+    weights = np.exp(logits - top)
+    total = weights.sum(axis=2, keepdims=True)
+    weights /= np.where(total > 0.0, total, 1.0)
+    pooled = np.matmul(weights, rows)  # (B, H, d)
+    heads = np.matmul(pooled.transpose(1, 0, 2), params.wv).transpose(1, 0, 2).reshape(b, -1)
+    return heads @ params.wo, (query, rows, q, qk, weights, pooled, heads)
 
 
-def _check_input(inp: AttentionInput, d: int):
-    t = np.asarray(inp.target, dtype=np.float64)
-    s = np.asarray(inp.sequence, dtype=np.float64)
-    m = np.asarray(inp.valid_mask, dtype=bool)
-    if t.shape != (d,):
-        raise ValueError(f"target shape {t.shape}, expected ({d},)")
-    if s.ndim != 2 or s.shape[1] != d:
-        raise ValueError(f"sequence shape {s.shape}, expected (L, {d})")
-    if m.shape != (s.shape[0],):
-        raise ValueError(f"mask shape {m.shape} does not match sequence length {s.shape[0]}")
-    return t, s, m
-
-
-def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Softmax over masked-in entries; all-masked input gives all zeros."""
-    w = np.zeros_like(logits)
-    if not mask.any():
-        return w
-    shifted = logits[mask] - logits[mask].max()
-    e = np.exp(shifted)
-    w[mask] = e / e.sum()
-    return w
-
-
-class _Cache:
-    __slots__ = ("target", "seq", "mask", "q", "k", "v", "w", "concat")
-
-
-def mhta_with_cache(inp: AttentionInput, params: MHTAParams):
-    t, s, mask = _check_input(inp, params.d)
-    n_h, d_h = params.n_heads, params.d_head
-    cache = _Cache()
-    cache.target, cache.seq, cache.mask = t, s, mask
-    cache.q = np.empty((n_h, d_h))
-    cache.k = np.empty((n_h, s.shape[0], d_h))
-    cache.v = np.empty((n_h, s.shape[0], d_h))
-    cache.w = np.empty((n_h, s.shape[0]))
-    concat = np.empty(n_h * d_h)
-    for h in range(n_h):
-        q = t @ params.wq[h]
-        k = s @ params.wk[h]
-        v = s @ params.wv[h]
-        w = masked_softmax(params.alpha * (k @ q), mask)
-        cache.q[h], cache.k[h], cache.v[h], cache.w[h] = q, k, v, w
-        concat[h * d_h : (h + 1) * d_h] = w @ v
-    cache.concat = concat
-    return concat @ params.wo, cache
-
-
-@dataclass
-class AttentionGrads:
-    wq: np.ndarray
-    wk: np.ndarray
-    wv: np.ndarray
-    wo: np.ndarray
-    target: np.ndarray
-    sequence: np.ndarray  # (L, d); zero rows at masked positions
-
-
-def mhta_backward(cache: _Cache, params: MHTAParams, upstream: np.ndarray) -> AttentionGrads:
-    """Gradients of upstream . (mhta_with_cache output) w.r.t. weights and inputs."""
-    t, s = cache.target, cache.seq
-    n_h, d_h = params.n_heads, params.d_head
-    g = AttentionGrads(
-        wq=np.zeros_like(params.wq),
-        wk=np.zeros_like(params.wk),
-        wv=np.zeros_like(params.wv),
-        wo=np.outer(cache.concat, upstream),
-        target=np.zeros_like(t),
-        sequence=np.zeros_like(s),
-    )
-    g_concat = params.wo @ upstream
-    for h in range(n_h):
-        q, k, v, w = cache.q[h], cache.k[h], cache.v[h], cache.w[h]
-        g_head = g_concat[h * d_h : (h + 1) * d_h]
-        g_w = v @ g_head
-        g_v = np.outer(w, g_head)
-        g_logits = w * (g_w - w @ g_w)  # masked rows have w == 0, so they stay 0
-        g_q = params.alpha * (g_logits @ k)
-        g_k = params.alpha * np.outer(g_logits, q)
-        g.wq[h] = np.outer(t, g_q)
-        g.target += params.wq[h] @ g_q
-        g.wk[h] = s.T @ g_k
-        g.wv[h] = s.T @ g_v
-        g.sequence += g_k @ params.wk[h].T + g_v @ params.wv[h].T
-    return g
+def masked_attention_backward(cache, params: MHTAParams, upstream: np.ndarray):
+    """Gradients of sum(upstream * output): ({"wq", "wk", "wv", "wo"},
+    query (B, d), rows (B, W, d)); masked rows get exactly zero."""
+    query, rows, q, qk, weights, pooled, heads = cache
+    b = query.shape[0]
+    g_heads = (upstream @ params.wo.T).reshape(b, params.n_heads, -1).transpose(1, 0, 2)
+    g_wv = np.matmul(pooled.transpose(1, 2, 0), g_heads)  # (H, d, d_head)
+    g_pooled = np.matmul(g_heads, params.wv.transpose(0, 2, 1)).transpose(1, 0, 2)  # (B, H, d)
+    g_w = np.matmul(g_pooled, rows.transpose(0, 2, 1))
+    g_logits = weights * (g_w - (weights * g_w).sum(axis=2, keepdims=True))
+    g_rows = (np.matmul(weights.transpose(0, 2, 1), g_pooled)
+              + np.matmul(g_logits.transpose(0, 2, 1), qk))
+    g_qk = params.alpha * np.matmul(g_logits, rows).transpose(1, 0, 2)  # (H, B, d)
+    g_q = np.matmul(g_qk, params.wk)  # (H, B, d_head)
+    grads = {
+        "wq": np.matmul(query.T, g_q),
+        "wk": np.matmul(g_qk.transpose(0, 2, 1), q),
+        "wv": g_wv,
+        "wo": heads.T @ upstream,
+    }
+    return grads, np.matmul(g_q, params.wq.transpose(0, 2, 1)).sum(axis=0), g_rows

@@ -121,15 +121,6 @@ def new_hash_family(dim: int, bits_per_round: int, rounds: int, seed: int) -> Ha
 
 
 @dataclass(frozen=True)
-class Fingerprint:
-    """One hashed vector: packed words plus the shape needed to compare."""
-
-    words: np.ndarray  # (rounds * ceil(bits_per_round / 64),) uint64
-    rounds: int
-    bits_per_round: int
-
-
-@dataclass(frozen=True)
 class FingerprintTable:
     """Fingerprints for a list of vectors, one row per vector."""
 
@@ -139,9 +130,6 @@ class FingerprintTable:
 
     def __len__(self) -> int:
         return self.words.shape[0]
-
-    def row(self, i: int) -> Fingerprint:
-        return Fingerprint(self.words[i], self.rounds, self.bits_per_round)
 
     def take(self, ids) -> "FingerprintTable":
         # np.take copies rows faster than fancy indexing (4.4 against
@@ -164,16 +152,6 @@ def fingerprint_batch(embeddings: np.ndarray, family: HashFamily) -> Fingerprint
         bits = np.packbits(emb @ family.projections[r] >= 0.0, axis=-1, bitorder="little")
         round_bytes[:, r, :bits.shape[1]] = bits
     return FingerprintTable(words.astype(np.uint64, copy=False), family.rounds, family.bits_per_round)
-
-
-def simhash(embedding: np.ndarray, family: HashFamily) -> Fingerprint:
-    emb = np.asarray(embedding, dtype=np.float64)
-    if emb.ndim != 1 or emb.shape[0] != family.dim:
-        raise ValueError(
-            f"embedding shape {emb.shape} incompatible with family dim {family.dim}"
-        )
-    table = fingerprint_batch(emb[None, :], family)
-    return Fingerprint(table.words[0], table.rounds, table.bits_per_round)
 
 
 def _check_comparable(a, b) -> None:

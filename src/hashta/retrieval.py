@@ -9,10 +9,9 @@ valid position is returned, so a saturated retrieval degrades to the
 full sequence.
 
 The Hamming selector ranks by total distance across all hash rounds and
-never materializes a full sort.  The batched selector serves requests,
-and top_k_by_hamming, the per-sample form training and evaluation use,
-is its one-row call.  Every pass reads contiguous, cache-resident
-operands:
+never materializes a full sort.  One batched selector serves requests,
+and training, evaluation and long_selection call it with one query row
+per sample.  Every pass reads contiguous, cache-resident operands:
 
 - Row blocks sized for L2.  Candidate rows are processed in blocks whose
   XOR, popcount and composite buffers together hold about 64k elements
@@ -57,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._scratch import scratch_buf
-from .fingerprint import Fingerprint, FingerprintTable, _check_comparable
+from .fingerprint import FingerprintTable, _check_comparable
 
 # Keys per row block of hamming_top_k_batch: its XOR, popcount and key
 # buffers then total about 850 KB, inside the 2 MiB per-core L2 measured
@@ -77,7 +76,6 @@ class TopKResult:
 
     indices: np.ndarray  # int64, positions into the original sequence
     scores: np.ndarray  # distance / similarity / match flag, aligned with indices
-    k_requested: int
     n_valid: int
 
     def __len__(self) -> int:
@@ -142,16 +140,6 @@ def _block_keys(q: np.ndarray, kt: np.ndarray, shift: int, ctype) -> np.ndarray:
         composite += np.bitwise_count(buf, out=pc)
     composite <<= shift
     return composite
-
-
-def top_k_by_hamming(
-    query: Fingerprint, keys: FingerprintTable, valid_mask, k: int
-) -> TopKResult:
-    """k nearest keys by total Hamming distance over all rounds: one row
-    of hamming_top_k_batch, so every caller selects with one routine."""
-    queries = FingerprintTable(query.words[None, :], query.rounds, query.bits_per_round)
-    idx, dist = hamming_top_k_batch(queries, keys, valid_mask, k)
-    return TopKResult(idx[0], dist[0], k, int(np.count_nonzero(valid_mask)))
 
 
 def hamming_top_k_batch(
@@ -272,20 +260,11 @@ def angular_top_k_batch(queries, keys, valid_mask, k: int):
     return valid[top & ((1 << shift) - 1)], cosines.astype(np.float64)
 
 
-def category_hard_search(
-    target_category: int, categories, valid_mask, k: int
-) -> TopKResult:
-    """k most recent behaviors in the target category, backfilled with the
-    most recent non-matching behaviors so the result is always min(k, valid).
-
-    Scores are 1.0 for a category match and 0.0 for backfill."""
-    idx, match = category_hard_search_batch([target_category], categories, valid_mask, k)
-    return TopKResult(idx[0], match[0].astype(np.float64), k, int(np.count_nonzero(valid_mask)))
-
-
 def category_hard_search_batch(target_categories, categories, valid_mask, k: int):
-    """Row-wise category_hard_search for a batch of target categories against
-    one shared sequence: (indices, matches), each (n_targets, k_eff)."""
+    """Row-wise k most recent behaviors in each target category, backfilled
+    with the most recent non-matching behaviors so every row holds
+    min(k, valid): (indices, matches), each (n_targets, k_eff), for a batch
+    of target categories against one shared sequence."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     cats = np.asarray(categories)

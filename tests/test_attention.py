@@ -3,13 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hashta.attention import (
-    AttentionInput,
-    MHTAParams,
-    masked_softmax,
-    mhta_backward,
-    mhta_with_cache,
-)
+from hashta.attention import MHTAParams, masked_attention, masked_attention_backward
 from hashta.model import ModelConfig, _attn_from_rng
 
 
@@ -18,20 +12,17 @@ def attention_params(d, n_heads, seed) -> MHTAParams:
     return _attn_from_rng(np.random.default_rng(seed), ModelConfig(d=d, n_heads=n_heads))
 
 
-def mhta(inp: AttentionInput, params: MHTAParams) -> np.ndarray:
-    return mhta_with_cache(inp, params)[0]
+def attend(target, sequence, mask, params: MHTAParams) -> np.ndarray:
+    """One query over one row set: a batch of one."""
+    out, _ = masked_attention(np.asarray(target, float)[None], np.asarray(sequence, float)[None],
+                              np.asarray(mask, bool)[None], params)
+    return out[0]
 
 
-def attention_gradients(inp: AttentionInput, params: MHTAParams, upstream):
-    _, cache = mhta_with_cache(inp, params)
-    return mhta_backward(cache, params, np.asarray(upstream, dtype=np.float64))
-
-
-def loop_mhta(inp: AttentionInput, params: MHTAParams) -> np.ndarray:
+def loop_mhta(target, sequence, mask, params: MHTAParams) -> np.ndarray:
     """Plain-loop oracle: no masking tricks, no vectorized softmax."""
-    t = np.asarray(inp.target, float)
-    s = np.asarray(inp.sequence, float)
-    mask = np.asarray(inp.valid_mask, bool)
+    t = np.asarray(target, float)
+    s = np.asarray(sequence, float)
     pieces = []
     for h in range(params.n_heads):
         q = t @ params.wq[h]
@@ -48,15 +39,23 @@ def loop_mhta(inp: AttentionInput, params: MHTAParams) -> np.ndarray:
     return np.concatenate(pieces) @ params.wo
 
 
-def random_case(seed, d=6, n_heads=2, length=9, mask_p=0.8):
+def random_batch(seed, batch=3, d=6, n_heads=2, length=9, mask_p=0.8):
+    """(targets (B, d), sequences (B, L, d), masks (B, L)), params."""
     rng = np.random.default_rng(seed)
     params = attention_params(d, n_heads, seed)
-    inp = AttentionInput(
-        rng.standard_normal(d),
-        rng.standard_normal((length, d)),
-        rng.random(length) < mask_p,
-    )
-    return inp, params
+    return (rng.standard_normal((batch, d)), rng.standard_normal((batch, length, d)),
+            rng.random((batch, length)) < mask_p), params
+
+
+def softmax_weights(logits, mask) -> np.ndarray:
+    """The attention weights over rows whose logits are given: with identity
+    projections and query e_0, row i = (logits[i], e_i) scores logits[i],
+    and output 1 + i reads back its weight."""
+    n = len(logits)
+    eye = np.eye(n + 1)
+    params = MHTAParams(eye[None], eye[None], eye[None], eye, 1.0)
+    rows = np.concatenate([np.asarray(logits, float)[:, None], np.eye(n)], axis=1)
+    return attend(eye[0], rows, mask, params)[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -88,15 +87,15 @@ def test_init_rejects_bad_dims():
 def test_masked_softmax_basics():
     logits = np.array([1.0, 2.0, 3.0, 4.0])
     mask = np.array([True, False, True, True])
-    w = masked_softmax(logits, mask)
+    w = softmax_weights(logits, mask)
     assert w[1] == 0.0
     assert w.sum() == pytest.approx(1.0)
     assert w[3] > w[2] > w[0]
     # shift invariance
-    np.testing.assert_allclose(masked_softmax(logits + 100.0, mask), w, atol=1e-12)
+    np.testing.assert_allclose(softmax_weights(logits + 100.0, mask), w, atol=1e-12)
     # huge logits must not overflow
-    assert np.isfinite(masked_softmax(np.array([1e4, -1e4]), np.ones(2, bool))).all()
-    assert masked_softmax(logits, np.zeros(4, bool)).tolist() == [0.0] * 4
+    assert np.isfinite(softmax_weights(np.array([1e4, -1e4]), np.ones(2, bool))).all()
+    assert softmax_weights(logits, np.zeros(4, bool)).tolist() == [0.0] * 4
 
 
 def test_single_head_matches_manual():
@@ -104,61 +103,78 @@ def test_single_head_matches_manual():
     eye = np.eye(2)
     params = MHTAParams(eye[None], eye[None], eye[None], eye, 1.0)
     keys = np.array([[2.0, 0.0], [0.0, 1.0]])
-    out = mhta(AttentionInput(np.array([1.0, 0.0]), keys, np.ones(2, bool)), params)
+    out = attend(np.array([1.0, 0.0]), keys, np.ones(2, bool), params)
     w0 = math.exp(2.0) / (math.exp(2.0) + math.exp(0.0))
     expect = w0 * keys[0] + (1 - w0) * keys[1]
     np.testing.assert_allclose(out, expect, atol=1e-12)
 
 
 def test_mhta_matches_loop_oracle():
-    for seed in range(12):
-        inp, params = random_case(seed)
-        np.testing.assert_allclose(mhta(inp, params), loop_mhta(inp, params), atol=1e-10)
+    for seed in range(4):
+        (targets, seqs, masks), params = random_batch(seed, batch=12)
+        out, _ = masked_attention(targets, seqs, masks, params)
+        for b in range(12):
+            np.testing.assert_allclose(out[b], loop_mhta(targets[b], seqs[b], masks[b], params),
+                                       atol=1e-10)
+
+
+def test_rows_of_a_batch_are_independent():
+    # each query's output is its own one-row call's, whatever the others hold
+    (targets, seqs, masks), params = random_batch(2, batch=6, mask_p=0.5)
+    masks[1] = False  # a query with no valid row next to ones with some
+    seqs[2, ~masks[2]] = 1e6  # large values in padding must not leak
+    out, _ = masked_attention(targets, seqs, masks, params)
+    for b in range(6):
+        np.testing.assert_allclose(out[b], attend(targets[b], seqs[b], masks[b], params),
+                                   rtol=0, atol=1e-12)
 
 
 def test_single_valid_row_pipes_value_through():
-    inp, params = random_case(3, length=5)
+    (targets, seqs, _), params = random_batch(3, length=5)
     mask = np.zeros(5, bool)
     mask[2] = True
-    out = mhta(AttentionInput(inp.target, inp.sequence, mask), params)
-    v = np.concatenate([inp.sequence[2] @ params.wv[h] for h in range(params.n_heads)])
+    out = attend(targets[0], seqs[0], mask, params)
+    v = np.concatenate([seqs[0, 2] @ params.wv[h] for h in range(params.n_heads)])
     np.testing.assert_allclose(out, v @ params.wo, atol=1e-12)
 
 
 def test_identical_rows_get_uniform_weights():
     rng = np.random.default_rng(5)
     row = rng.standard_normal(4)
-    inp = AttentionInput(rng.standard_normal(4), np.tile(row, (6, 1)), np.ones(6, bool))
+    target = rng.standard_normal(4)
     params = attention_params(4, 2, seed=1)
-    one = mhta(AttentionInput(inp.target, row[None, :], np.ones(1, bool)), params)
-    np.testing.assert_allclose(mhta(inp, params), one, atol=1e-12)
+    one = attend(target, row[None, :], np.ones(1, bool), params)
+    np.testing.assert_allclose(attend(target, np.tile(row, (6, 1)), np.ones(6, bool), params), one,
+                               atol=1e-12)
 
 
 def test_all_masked_yields_zero_vector():
-    inp, params = random_case(7, length=4)
-    out = mhta(AttentionInput(inp.target, inp.sequence, np.zeros(4, bool)), params)
-    np.testing.assert_array_equal(out, np.zeros(6))
-    empty = AttentionInput(inp.target, np.zeros((0, 6)), np.zeros(0, bool))
-    np.testing.assert_array_equal(mhta(empty, params), np.zeros(6))
+    (targets, seqs, _), params = random_batch(7, length=4)
+    out, _ = masked_attention(targets, seqs, np.zeros((3, 4), bool), params)
+    np.testing.assert_array_equal(out, np.zeros((3, 6)))
+    empty, _ = masked_attention(targets, np.zeros((3, 0, 6)), np.zeros((3, 0), bool), params)
+    np.testing.assert_array_equal(empty, np.zeros((3, 6)))
 
 
 def test_masking_equals_deleting_rows():
-    inp, params = random_case(9, length=10, mask_p=0.6)
-    kept = np.flatnonzero(inp.valid_mask)
-    compact = AttentionInput(
-        inp.target, inp.sequence[kept], np.ones(kept.size, bool)
-    )
-    np.testing.assert_allclose(mhta(inp, params), mhta(compact, params), atol=1e-12)
+    (targets, seqs, masks), params = random_batch(9, length=10, mask_p=0.6)
+    for b in range(3):
+        kept = np.flatnonzero(masks[b])
+        np.testing.assert_allclose(attend(targets[b], seqs[b], masks[b], params),
+                                   attend(targets[b], seqs[b, kept], np.ones(kept.size, bool),
+                                          params), atol=1e-12)
 
 
 def test_shape_validation():
-    inp, params = random_case(0)
+    (targets, seqs, masks), params = random_batch(0)
     with pytest.raises(ValueError):
-        mhta(AttentionInput(np.zeros(5), inp.sequence, inp.valid_mask), params)
+        masked_attention(targets[:, :5], seqs, masks, params)
     with pytest.raises(ValueError):
-        mhta(AttentionInput(inp.target, inp.sequence[:, :5], inp.valid_mask), params)
+        masked_attention(targets[:, :5], seqs[:, :, :5], masks, params)
     with pytest.raises(ValueError):
-        mhta(AttentionInput(inp.target, inp.sequence, inp.valid_mask[:-1]), params)
+        masked_attention(targets, seqs, masks[:, :-1], params)
+    with pytest.raises(ValueError):
+        masked_attention(targets[:2], seqs, masks, params)
 
 
 # ---------------------------------------------------------------------------
@@ -183,26 +199,26 @@ def fd_gradient(f, x, eps=1e-6):
 def test_gradients_match_central_differences():
     for seed in range(4):
         rng = np.random.default_rng(100 + seed)
-        inp, params = random_case(seed, d=4, n_heads=2, length=5, mask_p=0.7)
-        upstream = rng.standard_normal(4)
-        grads = attention_gradients(inp, params, upstream)
+        (targets, seqs, masks), params = random_batch(seed, d=4, n_heads=2, length=5, mask_p=0.7)
+        upstream = rng.standard_normal((3, 4))
+        out, cache = masked_attention(targets, seqs, masks, params)
+        grads, g_targets, g_seqs = masked_attention_backward(cache, params, upstream)
 
         def loss():
-            return float(upstream @ mhta(inp, params))
+            return float((upstream * masked_attention(targets, seqs, masks, params)[0]).sum())
 
         for name in ("wq", "wk", "wv", "wo"):
             fd = fd_gradient(loss, getattr(params, name))
-            got = getattr(grads, name)
-            assert np.max(np.abs(got - fd)) < 1e-7, name
-        fd_t = fd_gradient(loss, np.asarray(inp.target))
-        assert np.max(np.abs(grads.target - fd_t)) < 1e-7
-        fd_s = fd_gradient(loss, np.asarray(inp.sequence))
-        assert np.max(np.abs(grads.sequence - fd_s)) < 1e-7
+            assert grads[name].shape == fd.shape
+            assert np.max(np.abs(grads[name] - fd)) < 1e-7, name
+        assert np.max(np.abs(g_targets - fd_gradient(loss, targets))) < 1e-7
+        assert np.max(np.abs(g_seqs - fd_gradient(loss, seqs))) < 1e-7
 
 
 def test_masked_rows_receive_zero_gradient():
-    inp, params = random_case(11, length=6, mask_p=0.5)
-    grads = attention_gradients(inp, params, np.ones(6))
-    for i in range(6):
-        if not inp.valid_mask[i]:
-            np.testing.assert_array_equal(grads.sequence[i], np.zeros(6))
+    (targets, seqs, masks), params = random_batch(11, length=6, mask_p=0.5)
+    masks[2] = False
+    _, cache = masked_attention(targets, seqs, masks, params)
+    _, g_targets, g_seqs = masked_attention_backward(cache, params, np.ones((3, 6)))
+    np.testing.assert_array_equal(g_seqs[~masks], 0.0)
+    np.testing.assert_array_equal(g_targets[2], 0.0)  # nothing attended, nothing to move

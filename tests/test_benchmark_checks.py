@@ -26,3 +26,21 @@ def test_benchmark_output_checks_pass(workload):
     result = json.loads(out.stdout.splitlines()[-1])
     assert result["correct"] is True, out.stdout + out.stderr
     assert result["failed"] == 0, out.stdout + out.stderr
+
+
+def test_serving_hooks_resolve_and_only_retired_training_names_are_absent():
+    # the traced run wraps names hashta.model looks up at call time; a
+    # serving stage that stopped resolving would silently read 0 per layer
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import spans
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    hooks = spans.Hooks(spans.Tracer())
+    retired = {f"hashta.model.{name}" for name in
+               ("mhta_with_cache", "mhta_backward", "top_k_by_hamming", "simhash")}
+    assert set(hooks.absent) == retired
+    serving = ("prepare_request", "candidate_embeddings", "retrieval_stage", "attention_stage",
+               "finish_stage", "fingerprint_batch", "hamming_top_k_batch")
+    hooked = {attr for _, attr, _, _ in spans._HOOKS}
+    assert set(serving) <= hooked

@@ -5,13 +5,11 @@ from hypothesis import strategies as st
 
 from hashta.errors import FormatError
 from hashta.fingerprint import (
-    Fingerprint,
     FingerprintTable,
     fingerprint_batch,
     load_table,
     new_hash_family,
     save_table,
-    simhash,
     table_from_bytes,
     table_to_bytes,
     words_per_fingerprint,
@@ -59,13 +57,18 @@ def naive_bits(emb, family):
     return bits
 
 
-def bit_of(fp: Fingerprint, r: int, j: int) -> int:
+def one_row(vec, family) -> FingerprintTable:
+    """The fingerprint of one vector: a one-row table."""
+    return fingerprint_batch(np.asarray(vec, dtype=np.float64)[None, :], family)
+
+
+def bit_of(fp: FingerprintTable, r: int, j: int) -> int:
     wpr = words_per_fingerprint(fp.bits_per_round, 1)
-    word = fp.words[r * wpr + j // 64]
+    word = fp.words[0, r * wpr + j // 64]
     return int((int(word) >> (j % 64)) & 1)
 
 
-def naive_hamming(a: Fingerprint, b: Fingerprint) -> int:
+def naive_hamming(a: FingerprintTable, b: FingerprintTable) -> int:
     total = 0
     for r in range(a.rounds):
         for j in range(a.bits_per_round):
@@ -114,14 +117,14 @@ def test_family_rejects_bad_shapes(dim, m, rounds):
 
 def test_zero_vector_hashes_to_all_ones():
     fam = new_hash_family(2, 8, 2, seed=0)
-    fp = simhash(np.zeros(2), fam)
+    fp = one_row(np.zeros(2), fam)
     assert all(bit_of(fp, r, j) == 1 for r in range(2) for j in range(8))
 
 
 def test_negation_flips_every_bit():
     fam = new_hash_family(5, 33, 2, seed=3)
     v = np.array([0.3, -1.2, 2.0, 0.7, -0.1])
-    assert hamming(simhash(v, fam), simhash(-v, fam)) == fam.total_bits
+    assert hamming(one_row(v, fam), one_row(-v, fam)) == fam.total_bits
 
 
 @given(
@@ -133,7 +136,7 @@ def test_negation_flips_every_bit():
 def test_positive_scaling_is_invariant(seed, scale, dim):
     fam = new_hash_family(dim, 17, 2, seed=5)
     v = np.random.default_rng(seed).standard_normal(dim)
-    assert hamming(simhash(v, fam), simhash(scale * v, fam)) == 0
+    assert hamming(one_row(v, fam), one_row(scale * v, fam)) == 0
 
 
 @given(
@@ -145,7 +148,7 @@ def test_positive_scaling_is_invariant(seed, scale, dim):
 def test_packed_bits_match_naive_projection_signs(seed, dim, m, rounds):
     fam = new_hash_family(dim, m, rounds, seed=77)
     v = np.random.default_rng(seed).standard_normal(dim)
-    fp = simhash(v, fam)
+    fp = one_row(v, fam)
     expect = naive_bits(v, fam)
     for r in range(rounds):
         for j in range(m):
@@ -154,9 +157,9 @@ def test_packed_bits_match_naive_projection_signs(seed, dim, m, rounds):
 
 def test_padding_bits_are_zero():
     fam = new_hash_family(3, 5, 2, seed=1)
-    fp = simhash(np.zeros(3), fam)  # all data bits set, padding must stay clear
-    assert fp.words.shape == (2,)
-    for w in fp.words:
+    fp = one_row(np.zeros(3), fam)  # all data bits set, padding must stay clear
+    assert fp.words.shape == (1, 2)
+    for w in fp.words[0]:
         assert int(w) >> 5 == 0
 
 
@@ -165,13 +168,13 @@ def test_batch_equals_single():
     embs = np.random.default_rng(4).standard_normal((20, 7))
     table = fingerprint_batch(embs, fam)
     for i in range(20):
-        np.testing.assert_array_equal(table.words[i], simhash(embs[i], fam).words)
+        np.testing.assert_array_equal(table.words[i], one_row(embs[i], fam).words[0])
 
 
 def test_simhash_rejects_wrong_dim():
     fam = new_hash_family(4, 8, 1, seed=0)
     with pytest.raises(ValueError):
-        simhash(np.zeros(5), fam)
+        fingerprint_batch(np.zeros(4), fam)  # one vector is a (1, dim) batch
     with pytest.raises(ValueError):
         fingerprint_batch(np.zeros((3, 5)), fam)
 
@@ -182,9 +185,9 @@ def test_simhash_rejects_wrong_dim():
 
 def test_hamming_frozen_example():
     fam = new_hash_family(4, 16, 2, seed=11)
-    f1 = simhash(np.array([1.0, -2.0, 0.5, 3.0]), fam)
-    f2 = simhash(np.array([-1.0, 0.0, 2.0, 1.0]), fam)
-    assert [hex(int(w)) for w in f1.words] == ["0x4920", "0x202d"]
+    f1 = one_row(np.array([1.0, -2.0, 0.5, 3.0]), fam)
+    f2 = one_row(np.array([-1.0, 0.0, 2.0, 1.0]), fam)
+    assert [hex(int(w)) for w in f1.words[0]] == ["0x4920", "0x202d"]
     assert hamming(f1, f2) == 11
 
 
@@ -193,24 +196,24 @@ def test_hamming_frozen_example():
 def test_hamming_matches_naive_bit_loop(seed, dim, m, rounds):
     fam = new_hash_family(dim, m, rounds, seed=99)
     rng = np.random.default_rng(seed)
-    a = simhash(rng.standard_normal(dim), fam)
-    b = simhash(rng.standard_normal(dim), fam)
+    a = one_row(rng.standard_normal(dim), fam)
+    b = one_row(rng.standard_normal(dim), fam)
     assert hamming(a, b) == naive_hamming(a, b)
 
 
 def test_hamming_identity_and_symmetry():
     fam = new_hash_family(6, 40, 2, seed=8)
     rng = np.random.default_rng(0)
-    a = simhash(rng.standard_normal(6), fam)
-    b = simhash(rng.standard_normal(6), fam)
+    a = one_row(rng.standard_normal(6), fam)
+    b = one_row(rng.standard_normal(6), fam)
     assert hamming(a, a) == 0
     assert hamming(a, b) == hamming(b, a)
 
 
 def test_hamming_rejects_shape_mismatch():
-    f1 = simhash(np.ones(3), new_hash_family(3, 8, 1, seed=0))
-    f2 = simhash(np.ones(3), new_hash_family(3, 8, 2, seed=0))
-    f3 = simhash(np.ones(3), new_hash_family(3, 9, 1, seed=0))
+    f1 = one_row(np.ones(3), new_hash_family(3, 8, 1, seed=0))
+    f2 = one_row(np.ones(3), new_hash_family(3, 8, 2, seed=0))
+    f3 = one_row(np.ones(3), new_hash_family(3, 9, 1, seed=0))
     with pytest.raises(ValueError):
         hamming(f1, f2)
     with pytest.raises(ValueError):
@@ -247,7 +250,7 @@ def test_deviation_concentrates_with_more_bits():
         rates = []
         for seed in range(150):
             fam = new_hash_family(12, m, 2, seed=seed)
-            rates.append(hamming(simhash(u, fam), simhash(v, fam)) / fam.total_bits)
+            rates.append(hamming(one_row(u, fam), one_row(v, fam)) / fam.total_bits)
         stds.append(np.std(rates))
     assert stds[0] > stds[1] > stds[2]
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hashta import _scratch, model, retrieval
 from hashta.data import SECONDS_PER_DAY, Sample
 from hashta.errors import FormatError, NumericError
-from hashta.fingerprint import fingerprint_batch, simhash
+from hashta.fingerprint import fingerprint_batch
 from hashta.model import (
     ModelConfig,
     auc,
@@ -34,7 +34,7 @@ from hashta.model import (
     prepare_request,
     retrieval_stage,
 )
-from hashta.retrieval import top_k_by_hamming
+from hashta.retrieval import hamming_top_k_batch
 from oracles import item_categories_from_samples, request_from_sample
 
 N_CATS = 5
@@ -206,7 +206,7 @@ def test_verify_rejects_stale_or_mismatched_tables():
 def test_hashing_ignores_the_age_component():
     # the age embedding shifts scores but must never shift retrieval
     rng = np.random.default_rng(7)
-    s = mk_sample(rng, n_long=8)
+    s = mk_sample(rng, n_long=5, n_pad_long=3)
     plain_cfg = tiny_config(variant="ETA", use_time_buckets=False)
     aged_cfg = tiny_config(variant="ETA", use_time_buckets=True)
     plain = init_params(plain_cfg)
@@ -220,10 +220,15 @@ def test_hashing_ignores_the_age_component():
     items = np.array([row[0] for row in s.long_seq])
     cats = np.array([row[1] for row in s.long_seq])
     target = aged.item_emb[s.target_item] + aged.cat_emb[s.target_category]
-    direct = top_k_by_hamming(simhash(target, aged.family),
-                              fingerprint_batch(aged.item_emb[items] + aged.cat_emb[cats], aged.family),
-                              items != 0, aged_cfg.k)
-    assert sel_aged.indices.tolist() == direct.indices.tolist()
+    direct, _ = hamming_top_k_batch(
+        fingerprint_batch(target[None, :], aged.family),
+        fingerprint_batch(aged.item_emb[items] + aged.cat_emb[cats], aged.family),
+        items != 0, aged_cfg.k)
+    assert sel_aged.indices.tolist() == direct[0].tolist()
+    # n_valid counts the window's behaviours, not its (0, 0, 0) padding rows
+    assert sel_plain.n_valid == sel_aged.n_valid == 5
+    empty = long_selection(replace(s, long_seq=()), aged, aged_cfg)
+    assert empty.indices.tolist() == [] and empty.n_valid == 0
 
 
 def test_long_selection_rejects_non_selecting_variant():
@@ -312,7 +317,8 @@ def test_padding_row_gradients_are_zero():
         np.testing.assert_array_equal(grads[name][0], np.zeros(config.d))
 
 
-@pytest.mark.parametrize("variant", ["POOLING", "DIN_SHORT", "DIN_LONG_AVG", "FULL_TA", "ETA"])
+@pytest.mark.parametrize("variant", ["POOLING", "DIN_SHORT", "DIN_LONG_AVG", "FULL_TA", "ETA",
+                                     "SIM_HARD", "ETA_ANGULAR"])
 def test_gradients_match_central_differences(variant):
     rng = np.random.default_rng(13)
     config = tiny_config(variant=variant, use_time_buckets=(variant == "FULL_TA"))
@@ -323,7 +329,7 @@ def test_gradients_match_central_differences(variant):
         mk_sample(rng, label=0, n_long=8, user=2),
     ]
     frozen = None
-    if variant == "ETA":
+    if variant in model.SELECTING_VARIANTS:
         frozen = [long_selection(s, params, config).indices for s in batch]
     _, grads = loss_and_gradients(batch, params, config, frozen_selections=frozen)
     flat = flatten(params, config)
@@ -345,6 +351,30 @@ def test_gradients_match_central_differences(variant):
             fd = (up - dn) / (2 * eps)
             got = grads[name].reshape(-1)[i]
             assert abs(got - fd) < 1e-6, f"{variant} {name}[{i}]: {got} vs {fd}"
+
+
+@pytest.mark.parametrize("buckets", [False, True])
+@pytest.mark.parametrize("variant", model.VARIANTS)
+def test_a_sample_scores_the_same_alone_and_in_a_mixed_batch(variant, buckets):
+    # windows of different lengths, an empty long window, (0, 0, 0) rows
+    # inside windows, and each sample with tuple and with array windows
+    rng = np.random.default_rng(14)
+    config = tiny_config(variant=variant, use_time_buckets=buckets, batch_size=64, l2=0.0)
+    params = init_params(config)
+    batch = []
+    for i, (n_short, n_long, n_pad) in enumerate(((3, 8, 0), (3, 0, 0), (1, 3, 5), (0, 5, 2),
+                                                 (2, 1, 0), (3, 6, 2))):
+        s = mk_sample(rng, label=i % 2, n_short=n_short, n_long=n_long, n_pad_long=n_pad,
+                      user=1 + i % 3)
+        batch += [s, with_array_windows(s)]
+    alone = np.array([forward(s, params, config) for s in batch])
+    np.testing.assert_allclose(evaluate(batch, params, config).scores, alone, rtol=0, atol=1e-12)
+    # the batch gradient is the mean of the one-sample gradients
+    _, grads = loss_and_gradients(batch, params, config)
+    singles = [loss_and_gradients([s], params, config)[1] for s in batch]
+    for name, g in grads.items():
+        np.testing.assert_allclose(g, np.mean([one[name] for one in singles], axis=0),
+                                   rtol=0, atol=1e-12, err_msg=name)
 
 
 def test_empty_batch_rejected():
@@ -665,6 +695,20 @@ def test_window_arrays_are_checked_like_tuple_windows():
             score(replace(good, long_seq=rows + np.array([31, 0, 0])))
         with pytest.raises(ValueError, match=r"^short_seq category id outside \[0, 5\]$"):
             score(replace(good, short_seq=good.short_seq + np.array([0, 5, 0])))
+
+
+def test_ids_past_int64_are_refused_with_a_value_error():
+    config = tiny_config(variant="FULL_TA")
+    params = init_params(config)
+    good = mk_sample(np.random.default_rng(43), n_long=4)
+    tupled = good.long_seq + ((2**70, 1, BASE_TS),)
+    for bad in (tupled, np.array(tupled, dtype=object)):  # build_samples' form past int64
+        for score in (lambda s: forward(s, params, config),
+                      lambda s: predict_request(request_from_sample(s), [(1, 1)], params, config)):
+            with pytest.raises(ValueError, match="^long_seq holds a value that does not fit in int64$"):
+                score(replace(good, long_seq=bad))
+    with pytest.raises(ValueError, match="^candidates hold a value that does not fit in int64$"):
+        predict_request(request_from_sample(good), [(2**64, 1)], params, config)
 
 
 def test_retrieval_stage_rows_match_single_selection():

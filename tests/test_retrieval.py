@@ -4,21 +4,37 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hashta import retrieval
-from hashta.fingerprint import fingerprint_batch, new_hash_family, simhash
+from hashta.fingerprint import fingerprint_batch, new_hash_family
 from hashta.retrieval import (
     angular_top_k_batch,
-    category_hard_search,
+    category_hard_search_batch,
     hamming_top_k_batch,
     recall_at_k,
-    top_k_by_hamming,
 )
 from oracles import cosines_match, top_k_by_angle
+
+
+def one_query(vec, fam):
+    """A one-row query table: the form training's per-sample selection uses."""
+    return fingerprint_batch(np.asarray(vec, float)[None, :], fam)
+
+
+def top_hamming(query, table, mask, k):
+    """(positions, distances) of a one-row query, as lists."""
+    idx, dist = hamming_top_k_batch(query, table, mask, k)
+    return idx[0].tolist(), dist[0].tolist()
+
+
+def hard_search(target, cats, mask, k):
+    """(positions, match flags) for one target category, as lists."""
+    idx, match = category_hard_search_batch([target], cats, mask, k)
+    return idx[0].tolist(), match[0].tolist()
 
 
 def brute_hamming_order(query, table, mask):
     """Full sort oracle: (distance asc, position desc), valid only."""
     dists = [
-        int(np.bitwise_count(table.words[i] ^ query.words).sum())
+        int(np.bitwise_count(table.words[i] ^ query.words[0]).sum())
         for i in range(len(table))
     ]
     order = sorted(
@@ -45,7 +61,7 @@ def random_instance(seed, length, dim=6, m=16, rounds=2, mask_p=0.9):
     fam = new_hash_family(dim, m, rounds, seed=seed % 1000)
     embs = rng.standard_normal((length, dim))
     table = fingerprint_batch(embs, fam)
-    query = simhash(rng.standard_normal(dim), fam)
+    query = one_query(rng.standard_normal(dim), fam)
     mask = rng.random(length) < mask_p
     return query, table, mask, embs
 
@@ -58,13 +74,11 @@ def random_instance(seed, length, dim=6, m=16, rounds=2, mask_p=0.9):
 @settings(max_examples=60, deadline=None)
 def test_hamming_top_k_matches_sort_oracle(seed, length, k):
     query, table, mask, _ = random_instance(seed, length)
-    res = top_k_by_hamming(query, table, mask, k)
+    idx, dist = top_hamming(query, table, mask, k)
     order, dists = brute_hamming_order(query, table, mask)
     expect = order[: min(k, len(order))]
-    assert res.indices.tolist() == expect
-    assert res.scores.tolist() == [dists[i] for i in expect]
-    assert res.n_valid == int(mask.sum())
-    assert res.k_requested == k
+    assert idx == expect
+    assert dist == [dists[i] for i in expect]
 
 
 def test_tie_break_prefers_recency():
@@ -73,41 +87,41 @@ def test_tie_break_prefers_recency():
     v = np.array([1.0, -1.0, 0.5, 2.0])
     embs = np.stack([v, v * 2.0, -v, v * 0.5, -v * 3.0])  # dup signs
     table = fingerprint_batch(embs, fam)
-    res = top_k_by_hamming(simhash(v, fam), table, np.ones(5, bool), 3)
+    idx, dist = top_hamming(one_query(v, fam), table, np.ones(5, bool), 3)
     # positions 0, 1, 3 all at distance 0: most recent (largest) first
-    assert res.indices.tolist() == [3, 1, 0]
-    assert res.scores.tolist() == [0, 0, 0]
+    assert idx == [3, 1, 0]
+    assert dist == [0, 0, 0]
 
 
 def test_masked_positions_never_selected():
     query, table, mask, _ = random_instance(3, 40, mask_p=0.5)
-    res = top_k_by_hamming(query, table, mask, 40)
-    assert all(mask[i] for i in res.indices)
-    assert len(res) == int(mask.sum())
+    idx, _ = top_hamming(query, table, mask, 40)
+    assert all(mask[i] for i in idx)
+    assert len(idx) == int(mask.sum())
 
 
 def test_saturated_k_returns_all_valid_ascending_quality():
     query, table, mask, _ = random_instance(5, 12, mask_p=1.0)
-    res = top_k_by_hamming(query, table, mask, 100)
-    assert sorted(res.indices.tolist()) == list(range(12))
-    assert all(a <= b for a, b in zip(res.scores, res.scores[1:]))
+    idx, dist = top_hamming(query, table, mask, 100)
+    assert sorted(idx) == list(range(12))
+    assert all(a <= b for a, b in zip(dist, dist[1:]))
 
 
 def test_all_masked_gives_empty_result():
     query, table, _, _ = random_instance(8, 10)
-    res = top_k_by_hamming(query, table, np.zeros(10, bool), 4)
-    assert len(res) == 0 and res.n_valid == 0
+    idx, dist = hamming_top_k_batch(query, table, np.zeros(10, bool), 4)
+    assert idx.shape == dist.shape == (1, 0)
 
 
 def test_invalid_args_rejected():
     query, table, mask, _ = random_instance(1, 10)
     with pytest.raises(ValueError):
-        top_k_by_hamming(query, table, mask, 0)
+        hamming_top_k_batch(query, table, mask, 0)
     with pytest.raises(ValueError):
-        top_k_by_hamming(query, table, np.ones(9, bool), 3)
-    other = simhash(np.zeros(6), new_hash_family(6, 16, 3, seed=0))
+        hamming_top_k_batch(query, table, np.ones(9, bool), 3)
+    other = one_query(np.zeros(6), new_hash_family(6, 16, 3, seed=0))
     with pytest.raises(ValueError):
-        top_k_by_hamming(other, table, mask, 3)
+        hamming_top_k_batch(other, table, mask, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -259,24 +273,21 @@ def test_angular_zero_norm_query_is_pure_recency():
 
 def test_hard_search_matches_then_backfills():
     cats = np.array([5, 2, 5, 3, 5, 2])
-    res = category_hard_search(5, cats, np.ones(6, bool), 4)
+    idx, match = hard_search(5, cats, np.ones(6, bool), 4)
     # matches by recency: 4, 2, 0; then backfill with most recent other: 5
-    assert res.indices.tolist() == [4, 2, 0, 5]
-    assert res.scores.tolist() == [1.0, 1.0, 1.0, 0.0]
+    assert idx == [4, 2, 0, 5]
+    assert match == [True, True, True, False]
 
 
 def test_hard_search_respects_mask():
     cats = np.array([5, 5, 5, 5])
     mask = np.array([True, False, True, False])
-    res = category_hard_search(5, cats, mask, 4)
-    assert res.indices.tolist() == [2, 0]
+    assert hard_search(5, cats, mask, 4)[0] == [2, 0]
 
 
 def test_hard_search_no_matches_is_pure_recency():
     cats = np.array([1, 2, 3, 4])
-    res = category_hard_search(9, cats, np.ones(4, bool), 3)
-    assert res.indices.tolist() == [3, 2, 1]
-    assert res.scores.tolist() == [0.0, 0.0, 0.0]
+    assert hard_search(9, cats, np.ones(4, bool), 3) == ([3, 2, 1], [False, False, False])
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 50))
@@ -286,12 +297,12 @@ def test_hard_search_matches_sort_oracle(seed, length, k):
     cats = rng.integers(1, 5, size=length)
     mask = rng.random(length) < 0.85
     target = int(rng.integers(1, 5))
-    res = category_hard_search(target, cats, mask, k)
+    idx, _ = hard_search(target, cats, mask, k)
     order = sorted(
         (i for i in range(length) if mask[i]),
         key=lambda i: (0 if cats[i] == target else 1, -i),
     )
-    assert res.indices.tolist() == order[: min(k, int(mask.sum()))]
+    assert idx == order[: min(k, int(mask.sum()))]
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +332,9 @@ def test_hamming_recall_of_angular_improves_with_bits():
             fam = new_hash_family(dim, m, 2, seed=trial)
             table = fingerprint_batch(embs, fam)
             mask = np.ones(length, bool)
-            approx = top_k_by_hamming(simhash(q, fam), table, mask, k)
+            approx, _ = hamming_top_k_batch(one_query(q, fam), table, mask, k)
             exact, _ = angular_top_k_batch(q[None, :], embs, mask, k)
-            recalls.append(recall_at_k(approx.indices, exact[0]))
+            recalls.append(recall_at_k(approx[0], exact[0]))
         mean_recall[m] = float(np.mean(recalls))
     assert mean_recall[256] > mean_recall[8] + 0.1
     assert mean_recall[256] > 0.5
