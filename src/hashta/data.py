@@ -9,15 +9,19 @@ next to derived datasets.  Malformed rows are counted and tolerated up
 to 1% of the file, beyond which loading fails and names the first bad
 line.
 
-The loader parses the whole file with array operations.  Only lines of a
-strict shape take that path: exactly four commas, numeric fields of 1-18
-ASCII digits, a known behavior token and a positive timestamp.  Every
-other line is stripped and parsed on its own with ``int()``, which keeps
-what that accepts (padding whitespace, signs, ``_`` separators, non-ASCII
-digits, ids beyond int64) and counts the rest as blank or malformed
-exactly as a per-line reader would.  The log is held as columns sorted by
-(user, timestamp), ties in file order; a log whose rows already arrive in
-that order (each user's rows together and chronological, as
+The loader parses the file with array operations, in blocks of whole
+lines of about 256 KB (``_BLOCK_BYTES``), so that each block's byte, digit
+and index arrays stay in the L2 cache across the passes over them; line
+numbers carry on from block to block.  Only lines of a strict shape take
+that path: exactly four commas, numeric fields of 1-18 ASCII digits, a
+known behavior token and a positive timestamp.  Every other line is
+stripped and parsed on its own with ``int()``, which keeps what that
+accepts (padding whitespace, signs, ``_`` separators, non-ASCII digits,
+ids beyond int64) and counts the rest as blank or malformed exactly as a
+per-line reader would; the 1% rule and its first bad line are applied
+once, over the whole file.  The log is held as columns sorted by (user,
+timestamp), ties in file order; a log whose rows already arrive in that
+order (each user's rows together and chronological, as
 ``generate_synthetic`` writes them) is recognised by one vectorised check
 and kept as it is, and any other goes through a stable sort.
 ``events_by_user`` maps each user to a list of events built on access.
@@ -178,6 +182,7 @@ def _event_columns(events):
 
 
 _TYPE_NAMES = np.array(list(BEHAVIOR_TOKENS.values()))
+_KIND_OF = {name: k for k, name in enumerate(_TYPE_NAMES.tolist())}
 _MAX_DIGITS = 18  # 10**18 - 1 < 2**63
 
 
@@ -218,11 +223,21 @@ def _token_kinds(buf, start, stop):
     return kind
 
 
-def _parse_log(text: str):
-    """(user, item, category, behavior, timestamp) columns of the good rows
-    in file order, the non-blank row count and the malformed row count."""
-    data = text.encode("utf-8")
-    buf = np.frombuffer(data, dtype=np.uint8)
+# Bytes of encoded log text per parse block.  A block's digit copy and its
+# per-line and per-field index arrays then total about 2 MB, the per-core
+# L2 of the x86_64 benchmark host, so each pass over them reads cache; a
+# whole-file pass streams every one of them through memory.  On the
+# benchmark log, 128 KB to 1 MB blocks parsed alike and all faster than one
+# whole-file pass.
+_BLOCK_BYTES = 1 << 18
+
+
+def _parse_block(data: bytes, pos: int, end: int, line0: int):
+    """Strict-line parse of data[pos:end], whole lines whose first is line
+    line0 (0-based): the good rows' (user, item, category, kind, ts, line)
+    columns and the (line, start, stop) of the other non-blank lines, then
+    the block's newline count."""
+    buf = np.frombuffer(data, dtype=np.uint8, count=end - pos, offset=pos)
     newlines = np.flatnonzero(buf == ord("\n"))
     start = np.concatenate(([0], newlines + 1))
     stop = np.concatenate((newlines, [buf.size]))
@@ -242,11 +257,33 @@ def _parse_log(text: str):
     kind = _token_kinds(buf, lo[3], hi[3])
     good = ok_u & ok_i & ok_c & ok_t & (kind >= 0) & (ts > 0)
 
-    other = stop > start  # blank lines are skipped and not counted
+    # blank lines are skipped and not counted; a block ending in a newline
+    # has an empty last line, so lines are counted by newlines
+    other = stop > start
     other[strict[good]] = False
     lines = np.flatnonzero(other)
+    return (user[good], item[good], cat[good], kind[good], ts[good], strict[good] + line0,
+            lines + line0, start[lines] + pos, stop[lines] + pos), newlines.size
+
+
+def _parse_log(text: str):
+    """(user, item, category, behavior, timestamp) columns of the good rows
+    in file order, the non-blank row count and the malformed row count."""
+    data = text.encode("utf-8")
+    blocks = []
+    pos = line0 = 0
+    while True:  # a file smaller than a block is one block
+        # each block ends just after a newline, or at the end of the file
+        end = data.find(b"\n", pos + _BLOCK_BYTES - 1) + 1 or len(data)
+        cols, n_lines = _parse_block(data, pos, end, line0)
+        blocks.append(cols)
+        if end == len(data):
+            break
+        pos, line0 = end, line0 + n_lines
+    *cols, strict_lines, lines, start, stop = (np.concatenate(col) for col in zip(*blocks))
+
     rows, bad = [], []
-    for j, a, b in zip(lines.tolist(), start[lines].tolist(), stop[lines].tolist()):
+    for j, a, b in zip(lines.tolist(), start.tolist(), stop.tolist()):
         line = data[a:b].decode("utf-8").strip()
         if not line:
             continue
@@ -255,19 +292,19 @@ def _parse_log(text: str):
             bad.append(j)
         else:
             rows.append((j, *parsed))
-    n_rows = int(good.sum()) + len(rows) + len(bad)
+    n_rows = strict_lines.size + len(rows) + len(bad)
     if n_rows > 0 and len(bad) / n_rows > 0.01:
         raise FormatError(
             f"{len(bad)} of {n_rows} rows malformed (>1%), first at line {bad[0] + 1}"
         )
 
-    cols = [user[good], item[good], cat[good], _TYPE_NAMES[kind[good]], ts[good]]
     if rows:  # merge the rows parsed one at a time back into file order
         line_of, users, items, cats, types, stamps = zip(*rows)
-        order = np.argsort(np.concatenate((strict[good], line_of)), kind="stable")
-        extra = [_id_column(users), _id_column(items), _id_column(cats), np.array(types),
-                 _id_column(stamps)]
+        order = np.argsort(np.concatenate((strict_lines, line_of)), kind="stable")
+        extra = [_id_column(users), _id_column(items), _id_column(cats),
+                 np.array([_KIND_OF[t] for t in types], dtype=np.int64), _id_column(stamps)]
         cols = [np.concatenate(pair)[order] for pair in zip(cols, extra)]
+    cols[3] = _TYPE_NAMES[cols[3]]  # behavior kinds stay small ints until here
     return cols, n_rows, len(bad)
 
 

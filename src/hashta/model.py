@@ -752,17 +752,35 @@ def _item_categories(item_cats, config: ModelConfig) -> np.ndarray:
     cats = np.asarray(item_cats, dtype=np.int64)
     if cats.shape != (config.n_items + 1,):
         raise ValueError(f"item_cats shape {cats.shape}, expected ({config.n_items + 1},)")
+    if cats.min() < 0 or cats.max() > config.n_categories:
+        raise ValueError(f"item_cats holds a category id outside [0, {config.n_categories}]")
     return cats
+
+
+# Items per row block of fingerprint_items: at d=32 and 32 bits per round a
+# block's float64 sums and one round's projections are 1 MiB each, about the
+# 2 MiB per-core L2 of the x86_64 benchmark host, where one whole-table pass
+# streams each (n_items, d) temporary through memory.
+_TABLE_BLOCK_ROWS = 1 << 12
 
 
 def fingerprint_items(params: ModelParams, config: ModelConfig, item_cats: np.ndarray) -> FingerprintTable:
     """Per-item fingerprint table over ids 0..n_items.
 
-    item_cats[i] is the category of item i (0 for the padding row)."""
+    item_cats[i] is the category of item i (0 for the padding row).  Rows
+    are hashed in blocks of _TABLE_BLOCK_ROWS items, each block's item +
+    category sums made and hashed while they are in cache; every row's
+    words equal one fingerprint_batch call over all the sums."""
     cats = _item_categories(item_cats, config)
-    vecs = params.item_emb + params.cat_emb[cats]
-    vecs[0] = 0.0
-    return fingerprint_batch(vecs, params.family)
+    family = params.family
+    words = np.empty((cats.size, family.words), dtype=np.uint64)
+    for start in range(0, cats.size, _TABLE_BLOCK_ROWS):
+        rows = slice(start, start + _TABLE_BLOCK_ROWS)
+        vecs = params.item_emb[rows] + np.take(params.cat_emb, cats[rows], axis=0)
+        if start == 0:
+            vecs[0] = 0.0
+        words[rows] = fingerprint_batch(vecs, family).words
+    return FingerprintTable(words, family.rounds, family.bits_per_round)
 
 
 def verify_item_fingerprints(table: FingerprintTable, params: ModelParams,

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hashta import data
 from hashta.data import (
     BEHAVIOR_TOKENS,
     BehaviorEvent,
@@ -534,15 +535,16 @@ def csv_texts(draw):
     return text
 
 
+def _load(load, path):
+    try:
+        return load(path)
+    except FormatError as exc:
+        return str(exc)
+
+
 def _load_both(path, text):
     path.write_bytes(text.encode("utf-8"))
-    results = []
-    for load in (load_behavior_log, oracle_load_behavior_log):
-        try:
-            results.append(load(path))
-        except FormatError as exc:
-            results.append(str(exc))
-    return results
+    return [_load(load, path) for load in (load_behavior_log, oracle_load_behavior_log)]
 
 
 @pytest.fixture(scope="module")
@@ -553,11 +555,21 @@ def scratch_csv(tmp_path_factory):
 @settings(max_examples=300, deadline=None)
 @given(text=csv_texts())
 def test_loader_matches_per_line_oracle(scratch_csv, text):
-    got, want = _load_both(scratch_csv, text)
-    if isinstance(want, str):
-        assert got == want
-    else:
-        assert_same_log(got, want)
+    scratch_csv.write_bytes(text.encode("utf-8"))
+    want = _load(oracle_load_behavior_log, scratch_csv)
+    # at 64 and 1 bytes, block edges fall inside every line shape drawn: CR
+    # and CRLF endings, blank lines, lines longer than a block, no final
+    # newline, and malformed rows past the first block
+    for block in (data._BLOCK_BYTES, 64, 1):
+        saved, data._BLOCK_BYTES = data._BLOCK_BYTES, block
+        try:
+            got = _load(load_behavior_log, scratch_csv)
+        finally:
+            data._BLOCK_BYTES = saved
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert_same_log(got, want)
 
 
 def test_loader_matches_oracle_on_ordered_and_unordered_logs(tmp_path):

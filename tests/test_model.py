@@ -170,6 +170,25 @@ def test_precomputed_item_table_is_bit_identical():
     np.testing.assert_array_equal(ev_a.scores, ev_b.scores)
 
 
+@pytest.mark.parametrize("n_rows", [model._TABLE_BLOCK_ROWS - 1, model._TABLE_BLOCK_ROWS,
+                                    model._TABLE_BLOCK_ROWS + 1, 31])
+def test_item_table_row_blocks_equal_one_hashing_pass(n_rows):
+    # row counts one below, at and one above the row block, and one smaller
+    # than a block: each table equals one fingerprint_batch call over every
+    # item + category sum with the padding row zeroed
+    config = tiny_config(variant="ETA", n_items=n_rows - 1)
+    params = init_params(config)
+    cats = np.array([0] + [cat_of(i) for i in range(1, n_rows)])
+    table = fingerprint_items(params, config, cats)
+    vecs = params.item_emb + params.cat_emb[cats]
+    vecs[0] = 0.0
+    want = fingerprint_batch(vecs, params.family)
+    assert table.words.dtype == want.words.dtype
+    np.testing.assert_array_equal(table.words, want.words)
+    assert (table.rounds, table.bits_per_round) == (want.rounds, want.bits_per_round)
+    verify_item_fingerprints(table, params, config, cats)
+
+
 def test_predict_request_reads_candidate_bits_from_table_identically():
     rng = np.random.default_rng(61)
     config = tiny_config(variant="ETA")
@@ -194,6 +213,15 @@ def test_verify_rejects_stale_or_mismatched_tables():
         with pytest.raises(ValueError) as err:
             verify_item_fingerprints(table, params, config, wrong)
         assert f"shape {wrong.shape}, expected {cats.shape}" in str(err.value)
+    # a category id past either end of the embedding rows is refused, not
+    # wrapped (-1) or left to fail at the gather (n_categories + 1)
+    for bad in (-1, N_CATS + 1):
+        wrong = cats.copy()
+        wrong[7] = bad
+        for build_or_check in (lambda c: fingerprint_items(params, config, c),
+                               lambda c: verify_item_fingerprints(table, params, config, c)):
+            with pytest.raises(ValueError, match=rf"outside \[0, {N_CATS}\]"):
+                build_or_check(wrong)
     params.item_emb[5] += 3.0  # weights moved on: table is now stale
     with pytest.raises(FormatError) as err:
         verify_item_fingerprints(table, params, config, cats)
