@@ -31,7 +31,10 @@ config.seed, so runs are reproducible bit for bit.
 
 Samples run through one padded-batch forward and its hand-derived
 backward: training, evaluation, forward (a batch of one) and
-long_selection.  Requests, one user state against many candidates, run
+long_selection.  Its retrieval is one selector call per batch, each
+sample's target against its own padded window, through the same
+selectors request scoring calls with one window shared by every
+candidate.  Requests, one user state against many candidates, run
 through the staged scorer below (prepare_request ... finish_stage), a
 separate implementation that shares the user-side work across candidates.
 
@@ -57,6 +60,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import struct
 import time
 from dataclasses import asdict, dataclass
@@ -285,10 +289,18 @@ def _dleaky(x):
     return np.where(x > 0, 1.0, LEAKY_SLOPE)
 
 
-def _check_id(name, value, hi, allow_zero=False):
-    lo = 0 if allow_zero else 1
-    if not lo <= value <= hi:
-        raise ValueError(f"{name}={value} outside [{lo}, {hi}]")
+def _check_int(name, value) -> int:
+    # operator.index takes Python and NumPy integers and refuses floats,
+    # which int64 arrays would otherwise truncate
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name}={value!r} is not an integer") from None
+
+
+def _check_id(name, value, hi):
+    if not 1 <= _check_int(name, value) <= hi:
+        raise ValueError(f"{name}={value} outside [1, {hi}]")
 
 
 def _window_rows(seq, name: str) -> np.ndarray:
@@ -364,19 +376,17 @@ class _Batch:
     """Samples as (0, 0, 0)-padded arrays, and what the forward pass keeps
     for the backward pass."""
 
-    __slots__ = ("user_ids", "ctx_ids", "t_items", "t_cats", "target", "st", "lt", "lt_len",
+    __slots__ = ("user_ids", "ctx_ids", "t_items", "t_cats", "target", "st", "lt",
                  "sel_pos", "sel_mask", "short_cache", "long_cache", "acts", "pres", "z")
 
 
-def _padded(windows, name: str):
-    """(B, W, 3) int64 rows of every window, (0, 0, 0)-padded to the
-    longest, and each window's length."""
+def _padded(windows, name: str) -> np.ndarray:
+    """(B, W, 3) int64 rows of every window, (0, 0, 0)-padded to the longest."""
     rows = [_window_rows(w, name) for w in windows]
-    lengths = np.array([r.shape[0] for r in rows], dtype=np.int64)
-    out = np.zeros((len(rows), int(lengths.max(initial=0)), 3), dtype=np.int64)
+    out = np.zeros((len(rows), max((r.shape[0] for r in rows), default=0), 3), dtype=np.int64)
     for i, r in enumerate(rows):
         out[i, : r.shape[0]] = r
-    return out, lengths
+    return out
 
 
 def _embed_batch(samples, params: ModelParams, config: ModelConfig) -> _Batch:
@@ -392,14 +402,15 @@ def _embed_batch(samples, params: ModelParams, config: ModelConfig) -> _Batch:
         _check_id("target_item", s.target_item, config.n_items)
         _check_id("target_category", s.target_category, config.n_categories)
         _check_id("context_bucket", s.context_bucket, config.n_contexts)
+        _check_int("timestamp", s.timestamp)
     b = _Batch()
     ids = np.array([(s.user_id, s.context_bucket, s.target_item, s.target_category, s.timestamp)
                     for s in samples], dtype=np.int64).reshape(-1, 5)
     b.user_ids, b.ctx_ids, b.t_items, b.t_cats, now = ids.T
     b.target = np.take(params.item_emb, b.t_items, axis=0)
     b.target += np.take(params.cat_emb, b.t_cats, axis=0)
-    short, _ = _padded([s.short_seq for s in samples], "short_seq")
-    long, b.lt_len = _padded([s.long_seq for s in samples], "long_seq")
+    short = _padded([s.short_seq for s in samples], "short_seq")
+    long = _padded([s.long_seq for s in samples], "long_seq")
     b.st = _embed_ids(*short.transpose(2, 0, 1), now[:, None], params, config, "short_seq")
     b.lt = _embed_ids(*long.transpose(2, 0, 1), now[:, None], params, config, "long_seq")
     return b
@@ -407,45 +418,41 @@ def _embed_batch(samples, params: ModelParams, config: ModelConfig) -> _Batch:
 
 def _batch_fingerprints(b: _Batch, params: ModelParams, config: ModelConfig,
                         item_fps: Optional[FingerprintTable]):
-    """Words of the targets' query bits (B, words) and of the long windows'
-    key bits (B, W, words).  Live, each distinct (item, category) row of the
-    batch is hashed once; a table supplies the key bits, and the queries are
-    hashed from the target embeddings either way."""
-    lt = b.lt
+    """The targets' query bits (B rows) and the long windows' key bits
+    ((B, W) rows).  Live, each distinct (item, category) row of the batch is
+    hashed once; a table supplies the key bits, and the queries are hashed
+    from the target embeddings either way."""
+    lt, fam = b.lt, params.family
     if item_fps is not None:
-        return fingerprint_batch(b.target, params.family).words, item_fps.take(lt.items).words
+        return fingerprint_batch(b.target, fam), item_fps.take(lt.items)
     width = config.n_categories + 1  # below 2**63 (_check_vocab)
     keys = np.concatenate([b.t_items * width + b.t_cats, (lt.items * width + lt.cats).ravel()])
     distinct, inverse = np.unique(keys, return_inverse=True)
     rows = np.take(params.item_emb, distinct // width, axis=0)
     rows += np.take(params.cat_emb, distinct % width, axis=0)
-    words = fingerprint_batch(rows, params.family).words[inverse]
+    # np.take, not words[inverse]: 34 against 445 us for 33k (n, 2) rows
+    # on a 2-vCPU x86_64 host
+    words = np.take(fingerprint_batch(rows, fam).words, inverse, axis=0)
     n = b.t_items.shape[0]
-    return words[:n], words[n:].reshape(lt.items.shape + words.shape[1:])
+    return (FingerprintTable(words[:n], fam.rounds, fam.bits_per_round),
+            FingerprintTable(words[n:].reshape(lt.items.shape + words.shape[1:]), fam.rounds,
+                             fam.bits_per_round))
 
 
 def _select(b: _Batch, params: ModelParams, config: ModelConfig,
-            item_fps: Optional[FingerprintTable]) -> list:
-    """(positions best first, scores) for each sample: the request
-    selectors, called on the sample's own window, so the rows are the ones
+            item_fps: Optional[FingerprintTable]):
+    """(positions, scores), each (B, k_eff), best first and -1 past a
+    sample's valid count: one call of the request selector, each sample's
+    target against its own padded window, so a row holds the positions
     retrieval_stage picks for the same target."""
-    lt, variant, k, fam = b.lt, config.variant, config.k, params.family
+    lt, variant, k = b.lt, config.variant, config.k
     if variant == "ETA":
-        qwords, kwords = _batch_fingerprints(b, params, config, item_fps)
-    out = []
-    for i, n in enumerate(b.lt_len.tolist()):
-        mask = lt.mask[i, :n]
-        if variant == "ETA":
-            idx, score = hamming_top_k_batch(
-                FingerprintTable(qwords[i : i + 1], fam.rounds, fam.bits_per_round),
-                FingerprintTable(kwords[i, :n], fam.rounds, fam.bits_per_round), mask, k)
-        elif variant == "SIM_HARD":
-            idx, score = category_hard_search_batch(b.t_cats[i : i + 1], lt.cats[i, :n], mask, k)
-            score = score.astype(np.float64)
-        else:
-            idx, score = angular_top_k_batch(b.target[i : i + 1], lt.base[i, :n], mask, k)
-        out.append((idx[0], score[0]))
-    return out
+        queries, keys = _batch_fingerprints(b, params, config, item_fps)
+        return hamming_top_k_batch(queries, keys, lt.mask, k)
+    if variant == "SIM_HARD":
+        idx, match = category_hard_search_batch(b.t_cats, lt.cats, lt.mask, k)
+        return idx, match.astype(np.float64)
+    return angular_top_k_batch(b.target, lt.base, lt.mask, k)
 
 
 def _masked_means(emb: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -455,7 +462,7 @@ def _masked_means(emb: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 def _forward_batch(samples, params: ModelParams, config: ModelConfig,
                    item_fps: Optional[FingerprintTable] = None,
-                   frozen_selections: Optional[list] = None) -> _Batch:
+                   frozen_selections: Optional[np.ndarray] = None) -> _Batch:
     """Logits of a batch of samples in one padded pass, computed in float64
     whatever the weights' dtype."""
     b = _embed_batch(samples, params, config)
@@ -475,16 +482,11 @@ def _forward_batch(samples, params: ModelParams, config: ModelConfig,
         long_rep, b.long_cache = masked_attention(target, lt_emb, b.lt.mask, params.long_attn)
     else:
         if frozen_selections is None:
-            frozen_selections = [idx for idx, _ in _select(b, params, config, item_fps)]
-        # selected rows in window order, so a selection covering the window
-        # attends exactly as full attention does
-        sels = [np.sort(np.asarray(s, dtype=np.int64)) for s in frozen_selections]
-        width = max((s.shape[0] for s in sels), default=0)
-        b.sel_pos = np.zeros((len(sels), width), np.int64)
-        b.sel_mask = np.zeros((len(sels), width), bool)
-        for i, s in enumerate(sels):
-            b.sel_pos[i, : s.shape[0]] = s
-            b.sel_mask[i, : s.shape[0]] = True
+            frozen_selections = _select(b, params, config, item_fps)[0]
+        # selected rows in window order, -1 padding first, so a selection
+        # covering the window attends exactly as full attention does
+        b.sel_pos = np.sort(np.asarray(frozen_selections, dtype=np.int64), axis=1)
+        b.sel_mask = b.sel_pos >= 0
         rows = np.take_along_axis(lt_emb, b.sel_pos[..., None], axis=1)
         long_rep, b.long_cache = masked_attention(target, rows, b.sel_mask, params.long_attn)
     user = np.take(params.user_emb, b.user_ids, axis=0)
@@ -584,19 +586,20 @@ def long_selection(sample: Sample, params: ModelParams, config: ModelConfig,
     if config.variant not in SELECTING_VARIANTS:
         raise ValueError(f"variant {config.variant} has no retrieval stage")
     b = _embed_batch([sample], params, config)
-    ((idx, scores),) = _select(b, params, config, item_fps)
-    return TopKResult(idx, scores, int(np.count_nonzero(b.lt.mask)))
+    idx, scores = _select(b, params, config, item_fps)
+    return TopKResult(idx[0], scores[0], int(np.count_nonzero(b.lt.mask)))
 
 
 def loss_and_gradients(
     batch, params: ModelParams, config: ModelConfig,
-    frozen_selections: Optional[list] = None,
+    frozen_selections: Optional[np.ndarray] = None,
 ):
     """Mean logit-space BCE + L2, and its analytic float64 gradients.
 
-    frozen_selections optionally pins the per-sample retrieval (a list of
-    index arrays aligned with the batch); used to compare against finite
-    differences, where the selection must not move under perturbation."""
+    frozen_selections optionally pins the retrieval, in the selectors' own
+    form: a (B, k) position array aligned with the batch, -1 past a
+    sample's selection.  Used to compare against finite differences, where
+    the selection must not move under perturbation."""
     if len(batch) == 0:
         raise ValueError("empty batch")
     b = _forward_batch(batch, params, config, frozen_selections=frozen_selections)
@@ -839,6 +842,7 @@ def prepare_request(request: Request, params: ModelParams, config: ModelConfig,
     weights instead (see _folded_attention)."""
     _check_id("user_id", request.user_id, config.n_users)
     _check_id("context_bucket", request.context_bucket, config.n_contexts)
+    _check_int("timestamp", request.timestamp)
     if len(request.short_seq) > config.l_st:
         raise ValueError(f"short_seq length {len(request.short_seq)} exceeds l_st={config.l_st}")
     if len(request.long_seq) > config.l_lt:
@@ -896,7 +900,8 @@ def retrieval_stage(state: RequestState, cand_items: np.ndarray, cand_emb: np.nd
                     cand_cats: np.ndarray, params: ModelParams,
                     config: ModelConfig) -> Optional[np.ndarray]:
     """(n_candidates, k_eff) selected positions, or None when the variant
-    attends to everything.  Row order matches the per-sample selectors.
+    attends to everything.  A row holds the positions long_selection picks
+    for the same target.
 
     With a fingerprint table on the request state, candidate query bits
     are read from it by item id: candidates are catalog items, so their
@@ -990,7 +995,7 @@ def _attend_selected_batch(emb: np.ndarray, cand_q: np.ndarray, sel: np.ndarray,
     d = emb.shape[1]
     n_h = qk.shape[1] // d
     # rows are gathered in selection order, not sorted by position as in
-    # the per-sample path, so sums may differ from it in the last bit;
+    # the sample path, so sums may differ from it in the last bit;
     # with out=, mode='raise' would make numpy buffer the result, and the
     # indices come from the selectors, always in range
     rows = np.take(emb, sel.ravel(), axis=0, mode="clip",

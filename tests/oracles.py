@@ -8,9 +8,11 @@ import math
 
 import numpy as np
 
+from hashta import model
 from hashta.data import SECONDS_PER_DAY
-from hashta.fingerprint import _check_comparable
+from hashta.fingerprint import FingerprintTable, _check_comparable
 from hashta.model import Request
+from hashta.retrieval import angular_top_k_batch, category_hard_search_batch, hamming_top_k_batch
 
 
 def hamming(a, b) -> int:
@@ -49,6 +51,41 @@ def cosines_match(got, want) -> bool:
     up = np.nextafter(a, np.float32(np.inf))
     down = np.nextafter(a, np.float32(-np.inf))
     return a.shape == b.shape and bool(np.all((a == b) | (up == b) | (down == b)))
+
+
+def per_sample_selections(samples, params, config, item_fps=None) -> list:
+    """(positions best first, scores) for each sample: one shared-key
+    selector call per sample, a one-row query against the sample's own
+    unpadded window, with the batch's fingerprints."""
+    b = model._embed_batch(samples, params, config)
+    lt, k = b.lt, config.k
+    if config.variant == "ETA":
+        queries, keys = model._batch_fingerprints(b, params, config, item_fps)
+    out = []
+    for i, s in enumerate(samples):
+        n = len(s.long_seq)
+        mask = lt.mask[i, :n]
+        if config.variant == "ETA":
+            idx, score = hamming_top_k_batch(
+                FingerprintTable(queries.words[i : i + 1], queries.rounds, queries.bits_per_round),
+                FingerprintTable(keys.words[i, :n], keys.rounds, keys.bits_per_round), mask, k)
+        elif config.variant == "SIM_HARD":
+            idx, score = category_hard_search_batch(b.t_cats[i : i + 1], lt.cats[i, :n], mask, k)
+            score = score.astype(np.float64)
+        else:
+            idx, score = angular_top_k_batch(b.target[i : i + 1], lt.base[i, :n], mask, k)
+        out.append((idx[0], score[0]))
+    return out
+
+
+def frozen_selections(selections) -> np.ndarray:
+    """Per-sample position lists as the (B, k) array loss_and_gradients
+    pins, -1 past each sample's selection."""
+    width = max((len(s) for s in selections), default=0)
+    out = np.full((len(selections), width), -1, dtype=np.int64)
+    for row, sel in enumerate(selections):
+        out[row, : len(sel)] = sel
+    return out
 
 
 def request_from_sample(sample) -> Request:

@@ -42,7 +42,13 @@ from hashta.model import (
     train,
 )
 from hashta.retrieval import angular_top_k_batch, hamming_top_k_batch
-from oracles import cosines_match, hamming, item_categories_from_samples, top_k_by_angle
+from oracles import (
+    cosines_match,
+    frozen_selections,
+    hamming,
+    item_categories_from_samples,
+    top_k_by_angle,
+)
 
 BASE_TS = 1_700_000_000
 
@@ -275,7 +281,8 @@ def test_analytic_gradients_match_central_differences():
         # around the base point so the difference quotient is meaningful
         frozen = None
         if config.variant == "ETA":
-            frozen = [long_selection(s, params, config).indices for s in batch]
+            frozen = frozen_selections([long_selection(s, params, config).indices
+                                        for s in batch])
 
         def loss():
             return loss_and_gradients(

@@ -10,7 +10,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from hashta import model as M
 
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -28,14 +31,19 @@ def test_benchmark_output_checks_pass(workload):
     assert result["failed"] == 0, out.stdout + out.stderr
 
 
-def test_serving_hooks_resolve_and_only_retired_training_names_are_absent():
-    # the traced run wraps names hashta.model looks up at call time; a
-    # serving stage that stopped resolving would silently read 0 per layer
+def import_spans():
     sys.path.insert(0, str(ROOT / "perfbench"))
     try:
         import spans
     finally:
         sys.path.remove(str(ROOT / "perfbench"))
+    return spans
+
+
+def test_serving_hooks_resolve_and_only_retired_training_names_are_absent():
+    # the traced run wraps names hashta.model looks up at call time; a
+    # serving stage that stopped resolving would silently read 0 per layer
+    spans = import_spans()
     hooks = spans.Hooks(spans.Tracer())
     retired = {f"hashta.model.{name}" for name in
                ("mhta_with_cache", "mhta_backward", "top_k_by_hamming", "simhash")}
@@ -44,3 +52,24 @@ def test_serving_hooks_resolve_and_only_retired_training_names_are_absent():
                "finish_stage", "fingerprint_batch", "hamming_top_k_batch")
     hooked = {attr for _, attr, _, _ in spans._HOOKS}
     assert set(serving) <= hooked
+
+
+def test_traced_eta_request_counts_its_hamming_top_k():
+    # the benchmark's retrieval.* metrics are counts its hook reads from
+    # hamming_top_k_batch's arguments; a call the hook cannot read is
+    # timed as "uncounted", and those metrics would silently read 0
+    spans = import_spans()
+    config = M.ModelConfig(d=4, l_st=2, l_lt=6, k=3, n_heads=2, m=8, n_rounds=2, variant="ETA",
+                           mlp_widths=(4,), n_items=10, n_categories=3, n_users=2, epochs=0)
+    params = M.init_params(config)
+    window = np.array([[item, 1 + item % 3, 1000 + item] for item in range(1, 7)])
+    window[2] = 0  # one padding row
+    request = M.Request(1, 1, 2000, window[-2:], window)
+    tracer = spans.Tracer()
+    tracer.phase = "serve"
+    with spans.Hooks(tracer):
+        M.predict_request(request, [(1, 2), (4, 2)], params, config)
+    counts = tracer.summary()[("serve", "retrieval.hamming_top_k_batch")]
+    assert counts["calls"] == 1
+    assert "uncounted" not in counts
+    assert (counts["keys_scanned"], counts["kept"], counts["valid"]) == (2 * 6, 2 * 3, 2 * 5)

@@ -35,7 +35,12 @@ from hashta.model import (
     retrieval_stage,
 )
 from hashta.retrieval import hamming_top_k_batch
-from oracles import item_categories_from_samples, request_from_sample
+from oracles import (
+    frozen_selections,
+    item_categories_from_samples,
+    per_sample_selections,
+    request_from_sample,
+)
 
 N_CATS = 5
 BASE_TS = 1_700_000_000
@@ -117,6 +122,30 @@ def test_forward_validates_inputs():
     ):
         with pytest.raises(ValueError):
             forward(bad, params, config)
+    # a non-integer id or timestamp is refused, not truncated: int64 would
+    # read user 2.7 as user 2
+    for field, value in (("user_id", 2.7), ("user_id", np.float64(2.0)), ("target_item", 3.5),
+                         ("target_category", 1.5), ("context_bucket", 2.5),
+                         ("timestamp", BASE_TS + 0.5)):
+        with pytest.raises(ValueError, match=rf"^{field}=.* is not an integer$"):
+            forward(replace(good, **{field: value}), params, config)
+    # NumPy integers are integers
+    assert forward(replace(good, user_id=np.int64(2), timestamp=np.int32(BASE_TS)), params,
+                   config) == forward(replace(good, user_id=2), params, config)
+
+
+def test_predict_request_refuses_non_integer_ids():
+    config = tiny_config(use_time_buckets=True)
+    params = init_params(config)
+    req = request_from_sample(mk_sample(np.random.default_rng(2)))
+    cands = [(1, 1), (2, 2)]
+    for field, value in (("user_id", 2.7), ("context_bucket", np.float32(3.0)),
+                         ("timestamp", BASE_TS + 0.5)):
+        with pytest.raises(ValueError, match=rf"^{field}=.* is not an integer$"):
+            predict_request(replace(req, **{field: value}), cands, params, config)
+    np.testing.assert_array_equal(
+        predict_request(replace(req, user_id=np.uint8(2)), cands, params, config),
+        predict_request(replace(req, user_id=2), cands, params, config))
 
 
 def test_empty_long_window_is_fine_everywhere():
@@ -259,6 +288,49 @@ def test_hashing_ignores_the_age_component():
     assert empty.indices.tolist() == [] and empty.n_valid == 0
 
 
+def selection_batch(rng):
+    """Mixed long-window lengths, an empty window, (0, 0, 0) rows inside
+    windows, windows shorter than k = 4, and one item repeated across a
+    window, which ties every Hamming distance at the K-th boundary."""
+    batch = [mk_sample(rng, n_long=n, n_pad_long=pad, label=i % 2)
+             for i, (n, pad) in enumerate(((8, 0), (0, 0), (3, 0), (2, 5), (6, 2)))]
+    gap = (0, 0, 0)
+    rows = list(batch[0].long_seq)
+    batch.append(replace(batch[0], long_seq=(rows[0], gap, rows[1], gap, *rows[2:6])))
+    twin = rows[4]
+    batch.append(replace(batch[0], target_item=twin[0], target_category=twin[1],
+                         long_seq=(rows[0], twin, twin, gap, twin, twin, twin, rows[1])))
+    return batch
+
+
+@pytest.mark.parametrize("variant,m,table", [
+    ("ETA", 32, False), ("ETA", 32, True), ("ETA", 40, False), ("ETA", 40, True),
+    ("ETA", 64, False), ("ETA", 64, True), ("SIM_HARD", 8, False), ("ETA_ANGULAR", 8, False),
+])
+def test_batch_selection_equals_per_sample_selector_calls(variant, m, table):
+    # one selector call over the padded batch gives each sample the rows,
+    # and scores, of a one-row call on its own window; -1 pads a row past
+    # its valid count
+    config = tiny_config(variant=variant, m=m)
+    params = init_params(config)
+    batch = selection_batch(np.random.default_rng(15))
+    item_fps = None
+    if table:
+        item_fps = fingerprint_items(params, config, [0] + [cat_of(i) for i in range(1, 31)])
+    idx, scores = model._select(model._embed_batch(batch, params, config), params, config,
+                                item_fps)
+    want = per_sample_selections(batch, params, config, item_fps)
+    assert idx.shape == scores.shape == (len(batch), config.k)
+    for row, (want_idx, want_scores) in enumerate(want):
+        n = want_idx.shape[0]
+        assert idx[row, :n].tolist() == want_idx.tolist(), row
+        assert scores[row, :n].tolist() == want_scores.tolist(), row
+        assert (idx[row, n:] == -1).all(), row
+    assert [w[0].shape[0] for w in want] == [4, 0, 3, 2, 4, 4, 4]
+    if variant != "SIM_HARD":  # five copies of the target tie for k = 4 places: recency wins
+        assert want[-1][0].tolist() == [6, 5, 4, 2]
+
+
 def test_long_selection_rejects_non_selecting_variant():
     config = tiny_config(variant="FULL_TA")
     with pytest.raises(ValueError):
@@ -358,7 +430,7 @@ def test_gradients_match_central_differences(variant):
     ]
     frozen = None
     if variant in model.SELECTING_VARIANTS:
-        frozen = [long_selection(s, params, config).indices for s in batch]
+        frozen = frozen_selections([long_selection(s, params, config).indices for s in batch])
     _, grads = loss_and_gradients(batch, params, config, frozen_selections=frozen)
     flat = flatten(params, config)
 

@@ -1,10 +1,13 @@
+from contextlib import nullcontext
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hashta import retrieval
-from hashta.fingerprint import fingerprint_batch, new_hash_family
+from hashta.fingerprint import FingerprintTable, fingerprint_batch, new_hash_family
 from hashta.retrieval import (
     angular_top_k_batch,
     category_hard_search_batch,
@@ -54,6 +57,33 @@ def sorted_hamming_rows(queries, keys, mask, k):
         order = np.lexsort((-positions, dists))[:k]
         out.append((positions[order].tolist(), dists[order].tolist()))
     return out
+
+
+def table_rows(table, rows):
+    """The fingerprints table.words[rows], as a table."""
+    return FingerprintTable(table.words[rows], table.rounds, table.bits_per_round)
+
+
+def per_query_mask(rng, n_queries, length, valid_p):
+    """(n_queries, length) mask whose rows are all-masked, sparse or at
+    valid_p, so some rows hold fewer valid keys than k."""
+    row_p = rng.choice([0.0, 0.3, valid_p], size=(n_queries, 1))
+    return rng.random((n_queries, length)) < row_p
+
+
+def row_blocks(per_query):
+    """Row blocks of 256 keys for per-query keys, so rows cross block
+    boundaries at test sizes; the real block size for shared keys."""
+    return mock.patch.object(retrieval, "_BLOCK_ELEMENTS", 256) if per_query else nullcontext()
+
+
+def assert_row(idx, scores, want_idx, want_scores, fill):
+    """A row equals a shorter selection followed by -1 positions and the
+    fill score."""
+    tail = idx.shape[0] - len(want_idx)
+    assert idx.tolist() == list(want_idx) + [-1] * tail
+    assert scores[: len(want_idx)].tolist() == list(want_scores)
+    np.testing.assert_array_equal(scores[len(want_idx):], np.full(tail, fill))
 
 
 def random_instance(seed, length, dim=6, m=16, rounds=2, mask_p=0.9):
@@ -122,6 +152,16 @@ def test_invalid_args_rejected():
     other = one_query(np.zeros(6), new_hash_family(6, 16, 3, seed=0))
     with pytest.raises(ValueError):
         hamming_top_k_batch(other, table, mask, 3)
+    # one key set per query: as many key sets as queries, and a mask per set
+    per_query = FingerprintTable(np.stack([table.words] * 2), table.rounds, table.bits_per_round)
+    with pytest.raises(ValueError, match="^2 key sets for 1 queries$"):
+        hamming_top_k_batch(query, per_query, np.stack([mask] * 2), 3)
+    with pytest.raises(ValueError, match="valid_mask shape"):
+        hamming_top_k_batch(table_rows(table, slice(0, 2)), per_query, mask, 3)
+    with pytest.raises(ValueError, match="^2 key sets for 1 queries$"):
+        angular_top_k_batch(np.ones((1, 2)), np.ones((2, 3, 2)), np.ones((2, 3), bool), 1)
+    with pytest.raises(ValueError, match="^2 key sets for 1 queries$"):
+        category_hard_search_batch([1], np.ones((2, 3)), np.ones((2, 3), bool), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -134,20 +174,38 @@ def test_invalid_args_rejected():
 def test_batch_rows_equal_single_queries(seed, length, k, n_queries, data):
     # a single query is a one-row batch, so rows are checked against the
     # exhaustive sort; a longer then a shorter length after the first
-    # call: per-thread scratch is grown, then reused through a smaller view
+    # call: per-thread scratch is grown, then reused through a smaller view.
+    # With one key set per query each row also equals a one-row call on
+    # its own keys, and rows short of k valid keys end in -1
     longer = data.draw(st.integers(length + 1, length + 600), label="longer")
     shorter = data.draw(st.integers(1, longer - 1), label="shorter")
     valid_p = data.draw(st.sampled_from([0.85, 1.0]), label="valid_p")
     rng = np.random.default_rng(seed)
     fam = new_hash_family(5, 24, 2, seed=3)
     queries = fingerprint_batch(rng.standard_normal((n_queries, 5)), fam)
-    for n in (length, longer, shorter):
-        keys = fingerprint_batch(rng.standard_normal((n, 5)), fam)
-        mask = rng.random(n) < valid_p
-        idx, dists = hamming_top_k_batch(queries, keys, mask, k)
-        for row, (want, want_dists) in enumerate(sorted_hamming_rows(queries, keys, mask, k)):
-            assert idx[row].tolist() == want
-            assert dists[row].tolist() == want_dists
+    for per_query in (False, True):
+        for n in (length, longer, shorter):
+            if per_query:
+                flat = fingerprint_batch(rng.standard_normal((n_queries * n, 5)), fam)
+                keys = FingerprintTable(flat.words.reshape(n_queries, n, -1), fam.rounds,
+                                        fam.bits_per_round)
+                mask = per_query_mask(rng, n_queries, n, valid_p)
+            else:
+                keys = fingerprint_batch(rng.standard_normal((n, 5)), fam)
+                mask = rng.random(n) < valid_p
+            with row_blocks(per_query):
+                idx, dists = hamming_top_k_batch(queries, keys, mask, k)
+            counts = np.count_nonzero(mask, axis=-1)
+            assert idx.shape == dists.shape == (n_queries, min(k, int(counts.max())))
+            for row in range(n_queries):
+                query = table_rows(queries, slice(row, row + 1))
+                row_keys = table_rows(keys, row) if per_query else keys
+                row_mask = mask[row] if per_query else mask
+                ((want, want_dists),) = sorted_hamming_rows(query, row_keys, row_mask, k)
+                assert_row(idx[row], dists[row], want, want_dists, -1)
+                if per_query:
+                    one_idx, one_dists = hamming_top_k_batch(query, row_keys, row_mask, k)
+                    assert one_idx[0].tolist() == want and one_dists[0].tolist() == want_dists
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(900, 2100),
@@ -198,16 +256,32 @@ def test_angular_batch_rows_match_sort_oracle(seed, length, n_queries, data):
     # vocabulary row 0 is a zero-norm key
     vocab = rng.standard_normal((max(2, length // 3), dim))
     vocab[0] = 0.0
-    keys = vocab[rng.integers(0, vocab.shape[0], size=length)].astype(dtype)
-    queries = rng.standard_normal((n_queries, dim)).astype(dtype)
-    queries[rng.random(n_queries) < 0.1] = 0.0  # zero-norm queries: pure recency
-    mask = rng.random(length) < valid_p
-    idx, cos = angular_top_k_batch(queries, keys, mask, k)
-    assert idx.shape == cos.shape == (n_queries, min(k, int(mask.sum())))
-    for row in range(n_queries):
-        want, want_cos = top_k_by_angle(queries[row], keys, mask, k)
-        assert idx[row].tolist() == want
-        assert cosines_match(cos[row], want_cos)
+    # with one key matrix per query, each row also equals a one-row call on
+    # its own keys, and rows short of k valid keys end in -1
+    for per_query in (False, True):
+        shape = (n_queries, length) if per_query else (length,)
+        keys = vocab[rng.integers(0, vocab.shape[0], size=shape)].astype(dtype)
+        queries = rng.standard_normal((n_queries, dim)).astype(dtype)
+        queries[rng.random(n_queries) < 0.1] = 0.0  # zero-norm queries: pure recency
+        if per_query:
+            mask = per_query_mask(rng, n_queries, length, valid_p)
+        else:
+            mask = rng.random(length) < valid_p
+        with row_blocks(per_query):
+            idx, cos = angular_top_k_batch(queries, keys, mask, k)
+        width = min(k, int(np.count_nonzero(mask, axis=-1).max()))
+        assert idx.shape == cos.shape == (n_queries, width)
+        for row in range(n_queries):
+            row_keys, row_mask = (keys[row], mask[row]) if per_query else (keys, mask)
+            want, want_cos = top_k_by_angle(queries[row], row_keys, row_mask, k)
+            assert idx[row].tolist() == want + [-1] * (width - len(want))
+            assert cosines_match(cos[row, : len(want)], want_cos)
+            assert np.isnan(cos[row, len(want):]).all()
+            if per_query:
+                one_idx, one_cos = angular_top_k_batch(queries[row : row + 1], row_keys,
+                                                       row_mask, k)
+                assert one_idx[0].tolist() == want
+                assert one_cos[0].tolist() == cos[row, : len(want)].tolist()
 
 
 def test_angular_one_row_call_equals_row_of_batch():
@@ -290,19 +364,34 @@ def test_hard_search_no_matches_is_pure_recency():
     assert hard_search(9, cats, np.ones(4, bool), 3) == ([3, 2, 1], [False, False, False])
 
 
-@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 50))
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 50), st.integers(1, 20))
 @settings(max_examples=30, deadline=None)
-def test_hard_search_matches_sort_oracle(seed, length, k):
+def test_hard_search_matches_sort_oracle(seed, length, k, n_targets):
+    # with one sequence per target, each row also equals a one-row call on
+    # its own sequence, and rows short of k valid keys end in -1
     rng = np.random.default_rng(seed)
-    cats = rng.integers(1, 5, size=length)
-    mask = rng.random(length) < 0.85
-    target = int(rng.integers(1, 5))
-    idx, _ = hard_search(target, cats, mask, k)
-    order = sorted(
-        (i for i in range(length) if mask[i]),
-        key=lambda i: (0 if cats[i] == target else 1, -i),
-    )
-    assert idx == order[: min(k, int(mask.sum()))]
+    for per_query in (False, True):
+        shape = (n_targets, length) if per_query else (length,)
+        cats = rng.integers(1, 5, size=shape)
+        if per_query:
+            mask = per_query_mask(rng, n_targets, length, 0.85)
+        else:
+            mask = rng.random(length) < 0.85
+        targets = rng.integers(1, 5, size=n_targets)
+        with row_blocks(per_query):
+            idx, match = category_hard_search_batch(targets, cats, mask, k)
+        width = min(k, int(np.count_nonzero(mask, axis=-1).max()))
+        assert idx.shape == match.shape == (n_targets, width)
+        for row, target in enumerate(targets.tolist()):
+            row_cats, row_mask = (cats[row], mask[row]) if per_query else (cats, mask)
+            order = sorted(
+                (i for i in range(length) if row_mask[i]),
+                key=lambda i: (0 if row_cats[i] == target else 1, -i),
+            )[:k]
+            matches = [bool(row_cats[i] == target) for i in order]
+            assert_row(idx[row], match[row], order, matches, False)
+            if per_query:
+                assert hard_search(target, row_cats, row_mask, k) == (order, matches)
 
 
 # ---------------------------------------------------------------------------
