@@ -35,8 +35,10 @@ long_selection.  Its retrieval is one selector call per batch, each
 sample's target against its own padded window, through the same
 selectors request scoring calls with one window shared by every
 candidate.  Requests, one user state against many candidates, run
-through the staged scorer below (prepare_request ... finish_stage), a
-separate implementation that shares the user-side work across candidates.
+through the staged scorer below (prepare_request ... finish_stage), which
+shares the user-side work across candidates.  Both attend through
+attention.masked_attention; only served full attention has its own
+kernel, over the distinct history rows (_attend_full_batch).
 
 Precision: init_params weights are float64, and the batched forward and
 backward compute in float64 whatever the weights' dtype, so forward is
@@ -293,9 +295,12 @@ def _check_int(name, value) -> int:
     # operator.index takes Python and NumPy integers and refuses floats,
     # which int64 arrays would otherwise truncate
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise ValueError(f"{name}={value!r} is not an integer") from None
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"{name}={value} does not fit in int64")
+    return value
 
 
 def _check_id(name, value, hi):
@@ -362,10 +367,11 @@ def _embed_ids(items, cats, ts, now, params: ModelParams, config: ModelConfig,
     return out
 
 
-def _masked_mean(emb: np.ndarray, mask: np.ndarray, d: int) -> np.ndarray:
-    if not mask.any():
-        return np.zeros(d, emb.dtype)
-    return emb[mask].mean(axis=0)
+def _masked_mean(emb: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Mean of the valid rows, in emb's dtype: (d,) for one window (W, d),
+    (B, d) for a padded batch (B, W, d); zero where none is valid."""
+    count = np.maximum(mask.sum(axis=-1), 1).astype(emb.dtype)
+    return (emb * mask[..., None]).sum(axis=-2) / count[..., None]
 
 
 # ---------------------------------------------------------------------------
@@ -455,11 +461,6 @@ def _select(b: _Batch, params: ModelParams, config: ModelConfig,
     return angular_top_k_batch(b.target, lt.base, lt.mask, k)
 
 
-def _masked_means(emb: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Mean of each sample's valid rows, (B, d); zero where none is valid."""
-    return (emb * mask[..., None]).sum(axis=1) / np.maximum(mask.sum(axis=1), 1)[:, None]
-
-
 def _forward_batch(samples, params: ModelParams, config: ModelConfig,
                    item_fps: Optional[FingerprintTable] = None,
                    frozen_selections: Optional[np.ndarray] = None) -> _Batch:
@@ -471,13 +472,13 @@ def _forward_batch(samples, params: ModelParams, config: ModelConfig,
     st_emb, lt_emb = (np.asarray(w.emb, dtype=np.float64) for w in (b.st, b.lt))
     b.short_cache = b.long_cache = b.sel_pos = None
     if variant == "POOLING":
-        short_rep = _masked_means(st_emb, b.st.mask)
+        short_rep = _masked_mean(st_emb, b.st.mask)
     else:
         short_rep, b.short_cache = masked_attention(target, st_emb, b.st.mask, params.short_attn)
     if variant == "DIN_SHORT":
         long_rep = np.zeros_like(target)
     elif variant in ("POOLING", "DIN_LONG_AVG"):
-        long_rep = _masked_means(lt_emb, b.lt.mask)
+        long_rep = _masked_mean(lt_emb, b.lt.mask)
     elif variant == "FULL_TA":
         long_rep, b.long_cache = masked_attention(target, lt_emb, b.lt.mask, params.long_attn)
     else:
@@ -839,7 +840,7 @@ def prepare_request(request: Request, params: ModelParams, config: ModelConfig,
     so one logit and one value: lt_kv is (K, count-weighted V, counts),
     (n_heads, U, d_head) twice and (U,), or None for a window with no valid
     position.  The other attending variants fold the projections into the
-    weights instead (see _folded_attention)."""
+    weights instead (see attention.masked_attention)."""
     _check_id("user_id", request.user_id, config.n_users)
     _check_id("context_bucket", request.context_bucket, config.n_contexts)
     _check_int("timestamp", request.timestamp)
@@ -925,33 +926,6 @@ def retrieval_stage(state: RequestState, cand_items: np.ndarray, cand_emb: np.nd
     return None
 
 
-def _folded_attention(attn: MHTAParams):
-    """Per-head projections folded into two matrices, one batched matmul each.
-
-    qk is (d, n_heads * d) with head h's block alpha W_q[h] W_k[h]^T, so a
-    query row times qk gives every head's logit weights over raw
-    sequence rows; vo is (n_heads * d, d_out) with head h's block
-    W_v[h] W_o[h], so head-pooled sequence rows times vo is the output."""
-    n_h, d, d_h = attn.wq.shape
-    qk = attn.alpha * np.matmul(attn.wq, attn.wk.transpose(0, 2, 1))  # (n_heads, d, d)
-    vo = np.matmul(attn.wv, attn.wo.reshape(n_h, d_h, -1))  # (n_heads, d, d_out)
-    return qk.transpose(1, 0, 2).reshape(d, n_h * d), vo.reshape(n_h * d, -1)
-
-
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """In-place softmax along the last axis.
-
-    The row max is taken down the columns of a transposed copy: NumPy's
-    max over many short rows costs several times more than over one long
-    contiguous axis, and a max is exact in any order."""
-    c = logits.shape[-1]
-    row_max = np.ascontiguousarray(logits.reshape(-1, c).T).max(axis=0)
-    logits -= row_max.reshape(logits.shape[:-1] + (1,))
-    np.exp(logits, out=logits)
-    logits /= logits.sum(axis=-1, keepdims=True)
-    return logits
-
-
 def _attend_full_batch(kv, cand_q: np.ndarray, attn: MHTAParams):
     """Full attention over the U distinct rows of lt_kv: row u stands
     for c_u positions sharing its logit and value, so sum_p e^l_p v_p /
@@ -973,39 +947,6 @@ def _attend_full_batch(kv, cand_q: np.ndarray, attn: MHTAParams):
     return heads @ attn.wo
 
 
-def _attend_window_batch(emb: np.ndarray, mask: np.ndarray, cand_q: np.ndarray, qk, vo):
-    """Folded attention of every candidate over the valid rows of one shared window."""
-    n = cand_q.shape[0]
-    rows = emb[mask]
-    if rows.shape[0] == 0:
-        return np.zeros((n, vo.shape[1]), emb.dtype)
-    d = rows.shape[1]
-    w = _softmax_rows((cand_q @ qk).reshape(-1, d) @ rows.T)  # (n * n_heads, valid)
-    return (w @ rows).reshape(n, vo.shape[0]) @ vo
-
-
-def _attend_selected_batch(emb: np.ndarray, cand_q: np.ndarray, sel: np.ndarray, qk, vo):
-    """Folded attention of each candidate over its selected rows of emb.
-
-    The only per-candidate data is one gather of embedding rows, shared by
-    all heads; only the selected rows are ever touched."""
-    n, k = sel.shape
-    if k == 0:
-        return np.zeros((n, vo.shape[1]), emb.dtype)
-    d = emb.shape[1]
-    n_h = qk.shape[1] // d
-    # rows are gathered in selection order, not sorted by position as in
-    # the sample path, so sums may differ from it in the last bit;
-    # with out=, mode='raise' would make numpy buffer the result, and the
-    # indices come from the selectors, always in range
-    rows = np.take(emb, sel.ravel(), axis=0, mode="clip",
-                   out=scratch_buf("attend.rows", (n * k, d), emb.dtype)).reshape(n, k, d)
-    # softmax runs along the last axis: numpy's reductions over a short
-    # strided axis cost several times more
-    w = _softmax_rows(np.matmul((cand_q @ qk).reshape(n, n_h, d), rows.transpose(0, 2, 1)))
-    return np.matmul(w, rows).reshape(n, n_h * d) @ vo
-
-
 def attention_stage(state: RequestState, cand_emb: np.ndarray, sel: Optional[np.ndarray],
                     params: ModelParams, config: ModelConfig) -> np.ndarray:
     """Long-window representation for every candidate, (n_candidates, d)."""
@@ -1014,10 +955,18 @@ def attention_stage(state: RequestState, cand_emb: np.ndarray, sel: Optional[np.
     if variant == "DIN_SHORT":
         return np.zeros((n, d), cand_emb.dtype)
     if variant in ("POOLING", "DIN_LONG_AVG"):
-        return np.broadcast_to(_masked_mean(state.lt.emb, state.lt.mask, d), (n, d)).copy()
+        return np.broadcast_to(_masked_mean(state.lt.emb, state.lt.mask), (n, d)).copy()
     if variant == "FULL_TA":
         return _attend_full_batch(state.lt_kv, cand_emb, params.long_attn)
-    return _attend_selected_batch(state.lt.emb, cand_emb, sel, *_folded_attention(params.long_attn))
+    # rows are gathered in selection order, not sorted by position as in
+    # the sample path, so sums may differ from it in the last bit;
+    # with out=, mode='raise' would make numpy buffer the result, and the
+    # indices come from the selectors, in range or -1, which reads row 0
+    # and is masked out
+    emb, k = state.lt.emb, sel.shape[1]
+    rows = np.take(emb, sel.ravel(), axis=0, mode="clip",
+                   out=scratch_buf("attend.rows", (n * k, d), emb.dtype)).reshape(n, k, d)
+    return masked_attention(cand_emb, rows, sel >= 0, params.long_attn)[0]
 
 
 def finish_stage(state: RequestState, cand_emb: np.ndarray, long_rep: np.ndarray,
@@ -1029,10 +978,9 @@ def finish_stage(state: RequestState, cand_emb: np.ndarray, long_rep: np.ndarray
     request rather than once per candidate."""
     d = cand_emb.shape[1]
     if config.variant == "POOLING":
-        short_rep = _masked_mean(state.st.emb, state.st.mask, d)
+        short_rep = _masked_mean(state.st.emb, state.st.mask)
     else:
-        short_rep = _attend_window_batch(state.st.emb, state.st.mask, cand_emb,
-                                         *_folded_attention(params.short_attn))
+        short_rep = masked_attention(cand_emb, state.st.emb, state.st.mask, params.short_attn)[0]
     w0 = params.mlp_w[0]  # input blocks: user, context, candidate, short, long
     shared = state.user_vec @ w0[:d] + state.ctx_vec @ w0[d : 2 * d] + params.mlp_b[0]
     a = cand_emb @ w0[2 * d : 3 * d] + short_rep @ w0[3 * d : 4 * d] + long_rep @ w0[4 * d :]

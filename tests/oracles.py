@@ -2,6 +2,7 @@
 
 None of these is on a serving or training path; each spells out one
 definition with plain loops so a fast kernel can be compared to it.
+with_specials makes inputs that probe the edges of such definitions.
 """
 
 import math
@@ -51,6 +52,31 @@ def cosines_match(got, want) -> bool:
     up = np.nextafter(a, np.float32(np.inf))
     down = np.nextafter(a, np.float32(-np.inf))
     return a.shape == b.shape and bool(np.all((a == b) | (up == b) | (down == b)))
+
+
+def softmax_oracle(logits, mask=None):
+    """Softmax along the last axis; with a mask (broadcast against logits),
+    unset entries are -inf and a row with none set is all zeros."""
+    if mask is not None:
+        logits = np.where(mask, logits, -np.inf)
+    logits = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    out = logits / logits.sum(axis=-1, keepdims=True)
+    if mask is not None:
+        out[np.broadcast_to(~mask.any(axis=-1, keepdims=True), out.shape)] = 0.0
+    return out
+
+
+SPECIAL_VALUES = [0.0, -0.0, np.inf, -np.inf, np.nan, 40.0, -40.0, 745.0, -745.0, 1e-320, -1e-320]
+
+
+def with_specials(rng, shape, dtype):
+    """Random values over several scales, with SPECIAL_VALUES at random spots."""
+    x = (rng.standard_normal(shape) * rng.choice([1.0, 30.0, 1e3], size=shape)).astype(dtype)
+    flat = x.reshape(-1)
+    spots = rng.choice(flat.size, size=min(flat.size, 4 * len(SPECIAL_VALUES)), replace=False)
+    flat[spots] = np.resize(np.array(SPECIAL_VALUES, dtype), spots.size)
+    return x
 
 
 def per_sample_selections(samples, params, config, item_fps=None) -> list:

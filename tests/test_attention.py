@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from hashta import attention
 from hashta.attention import MHTAParams, masked_attention, masked_attention_backward
 from hashta.model import ModelConfig, _attn_from_rng
+from oracles import softmax_oracle, with_specials
 
 
 def attention_params(d, n_heads, seed) -> MHTAParams:
@@ -116,6 +118,45 @@ def test_mhta_matches_loop_oracle():
         for b in range(12):
             np.testing.assert_allclose(out[b], loop_mhta(targets[b], seqs[b], masks[b], params),
                                        atol=1e-10)
+        # one row set shared by every query
+        out, cache = masked_attention(targets, seqs[0], masks[0], params)
+        assert cache is None
+        for b in range(12):
+            np.testing.assert_allclose(out[b], loop_mhta(targets[b], seqs[0], masks[0], params),
+                                       atol=1e-10)
+
+
+SHARED_CASES = {
+    "mixed": lambda rng: np.r_[True, rng.random(8) < 0.6],
+    "all_valid": lambda rng: np.ones(9, bool),
+    "all_padding": lambda rng: np.zeros(9, bool),
+    "empty": lambda rng: np.zeros(0, bool),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", list(SHARED_CASES))
+def test_shared_rows_equal_repeated_per_query_rows(case, dtype):
+    rng = np.random.default_rng(12)
+    mask = SHARED_CASES[case](rng)
+    params = attention_params(6, 2, seed=12)
+    params = MHTAParams(*(w.astype(dtype) for w in (params.wq, params.wk, params.wv, params.wo)),
+                        params.alpha)
+    targets = rng.standard_normal((5, 6)).astype(dtype)
+    rows = rng.standard_normal((mask.size, 6)).astype(dtype)
+    rows[~mask] = 1e6  # large values in padding must not leak
+    shared, cache = masked_attention(targets, rows, mask, params)
+    repeated, _ = masked_attention(targets, np.broadcast_to(rows, (5,) + rows.shape),
+                                   np.broadcast_to(mask, (5, mask.size)), params)
+    assert cache is None
+    assert shared.dtype == repeated.dtype == dtype
+    tol = 1e-6 if dtype == np.float32 else 1e-12
+    np.testing.assert_allclose(shared, repeated, rtol=0, atol=tol)
+    want = [loop_mhta(t, rows.astype(float), mask, params) for t in targets]
+    np.testing.assert_allclose(shared, want, rtol=0, atol=100 * tol)
+    if not mask.any():
+        np.testing.assert_array_equal(shared, 0.0)
+        np.testing.assert_array_equal(repeated, 0.0)
 
 
 def test_rows_of_a_batch_are_independent():
@@ -175,6 +216,29 @@ def test_shape_validation():
         masked_attention(targets, seqs, masks[:, :-1], params)
     with pytest.raises(ValueError):
         masked_attention(targets[:2], seqs, masks, params)
+    # shared rows: the mask must be (W,) and the rows (W, d)
+    for rows, mask in ((seqs[0], masks[0, :-1]), (seqs[0], masks[:1]), (seqs[0], masks),
+                       (seqs[0, :, :5], masks[0]), (seqs[0, 0], masks[0, :1])):
+        with pytest.raises(ValueError):
+            masked_attention(targets, rows, mask, params)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_softmax_rows_equals_its_last_axis_oracle(dtype):
+    rng = np.random.default_rng(41)
+    for shape in [(256, 16), (128, 2, 48), (3, 1), (5, 300)]:
+        x = rng.standard_normal(shape).astype(dtype) * dtype(20)
+        specials = with_specials(rng, shape, dtype)
+        # a (B, 1, W) mask broadcasts over heads, as masked_attention passes it
+        mask = rng.random((shape[0], 1, shape[2]) if len(shape) == 3 else shape) < 0.7
+        mask[0] = False  # an all-masked row
+        for logits in (x, specials):
+            for m in (None, mask):
+                with np.errstate(invalid="ignore"):  # inf - inf in rows holding +inf
+                    want = softmax_oracle(logits.copy(), m)
+                    got = attention._softmax_rows(logits.copy(), m)
+                assert got.dtype == dtype
+                assert np.array_equal(got, want, equal_nan=True)
 
 
 # ---------------------------------------------------------------------------

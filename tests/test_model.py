@@ -40,6 +40,7 @@ from oracles import (
     item_categories_from_samples,
     per_sample_selections,
     request_from_sample,
+    with_specials,
 )
 
 N_CATS = 5
@@ -129,9 +130,25 @@ def test_forward_validates_inputs():
                          ("timestamp", BASE_TS + 0.5)):
         with pytest.raises(ValueError, match=rf"^{field}=.* is not an integer$"):
             forward(replace(good, **{field: value}), params, config)
+    # an integer past int64 is refused, not left to overflow the id matrix
+    for field, value in (("timestamp", 2**70), ("timestamp", -(2**63) - 1), ("timestamp", 2**63),
+                         ("user_id", 2**64), ("timestamp", np.uint64(2**64 - 1))):
+        with pytest.raises(ValueError, match=rf"^{field}=.* does not fit in int64$"):
+            forward(replace(good, **{field: value}), params, config)
     # NumPy integers are integers
     assert forward(replace(good, user_id=np.int64(2), timestamp=np.int32(BASE_TS)), params,
                    config) == forward(replace(good, user_id=2), params, config)
+
+
+@pytest.mark.parametrize("use_time_buckets", [False, True])
+def test_predict_request_refuses_timestamps_past_int64(use_time_buckets):
+    config = tiny_config(use_time_buckets=use_time_buckets)
+    params = init_params(config)
+    req = request_from_sample(mk_sample(np.random.default_rng(2)))
+    for value in (2**70, -(2**63) - 1):
+        with pytest.raises(ValueError, match=r"^timestamp=.* does not fit in int64$"):
+            predict_request(replace(req, timestamp=value), [(1, 1)], params, config)
+    assert predict_request(replace(req, timestamp=2**63 - 1), [(1, 1)], params, config).shape == (1,)
 
 
 def test_predict_request_refuses_non_integer_ids():
@@ -1071,23 +1088,6 @@ def sigmoid_oracle(z):
     return out
 
 
-def softmax_oracle(logits):
-    logits = logits - logits.max(axis=-1, keepdims=True)
-    np.exp(logits, out=logits)
-    return logits / logits.sum(axis=-1, keepdims=True)
-
-
-SPECIAL_VALUES = [0.0, -0.0, np.inf, -np.inf, np.nan, 40.0, -40.0, 745.0, -745.0, 1e-320, -1e-320]
-
-
-def with_specials(rng, shape, dtype):
-    x = (rng.standard_normal(shape) * rng.choice([1.0, 30.0, 1e3], size=shape)).astype(dtype)
-    flat = x.reshape(-1)
-    spots = rng.choice(flat.size, size=min(flat.size, 4 * len(SPECIAL_VALUES)), replace=False)
-    flat[spots] = np.resize(np.array(SPECIAL_VALUES, dtype), spots.size)
-    return x
-
-
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_leaky_and_sigmoid_equal_their_branching_oracles(dtype):
     rng = np.random.default_rng(40)
@@ -1098,20 +1098,6 @@ def test_leaky_and_sigmoid_equal_their_branching_oracles(dtype):
         assert np.array_equal(got, leaky_oracle(x), equal_nan=True)
         assert np.array_equal(np.signbit(got), np.signbit(leaky_oracle(x)))
         assert np.array_equal(model._sigmoid(x), sigmoid_oracle(x), equal_nan=True)
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_softmax_rows_equals_its_last_axis_oracle(dtype):
-    rng = np.random.default_rng(41)
-    for shape in [(256, 16), (128, 2, 48), (3, 1), (5, 300)]:
-        x = rng.standard_normal(shape).astype(dtype) * dtype(20)
-        specials = with_specials(rng, shape, dtype)
-        for logits in (x, specials):
-            with np.errstate(invalid="ignore"):  # inf - inf in rows holding +inf
-                want = softmax_oracle(logits.copy())
-                got = model._softmax_rows(logits.copy())
-            assert got.dtype == dtype
-            assert np.array_equal(got, want, equal_nan=True)
 
 
 # ---------------------------------------------------------------------------
