@@ -1,6 +1,6 @@
 """Hash-based target attention over long behavior sequences.
 
-The root re-exports what the CLI, hashta.bench, scripts/ and perfbench/ call.
+The root re-exports what the CLI, hashta.bench and perfbench/ call.
 """
 
 from .errors import FormatError, NumericError

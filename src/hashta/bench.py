@@ -333,9 +333,12 @@ def run_scaling(base: M.ModelConfig, lengths, n_candidates,
 
 
 def format_record(rec: BenchRecord) -> str:
-    """One aligned report line; stage columns appear when measured."""
+    """One aligned report line; stage columns appear when measured.  The
+    hash width (ETA only) and candidate count tell swept rows apart."""
+    width = f"m={rec.m}" if rec.variant == "ETA" else ""
+    head = f"{rec.label:<20} {width:<5} candidates={rec.n_candidates:<4}"
     if rec.error:
-        return f"{rec.label:<20} ERROR {rec.error}"
+        return f"{head} ERROR {rec.error}"
     extra = ""
     if np.isfinite(rec.retrieval_mean_us):
         extra = (
@@ -343,7 +346,7 @@ def format_record(rec: BenchRecord) -> str:
             f" attend={rec.attention_mean_us:9.1f}us"
         )
     return (
-        f"{rec.label:<20} auc={rec.auc:.5f} mean={rec.mean_us:9.1f}us"
+        f"{head} auc={rec.auc:.5f} mean={rec.mean_us:9.1f}us"
         f" p50={rec.p50_us:9.1f}us p95={rec.p95_us:9.1f}us{extra}"
     )
 
@@ -356,10 +359,10 @@ def write_report_csv(path, records) -> None:
             writer.writerow(asdict(rec))
 
 
-def write_report_json(path, records) -> None:
+def write_report_json(path, records, summary=None) -> None:
+    payload = {"environment": environment_note(), "records": [asdict(r) for r in records]}
+    if summary is not None:
+        payload["summary"] = summary
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(
-            {"environment": environment_note(), "records": [asdict(r) for r in records]},
-            fh, indent=2,
-        )
+        json.dump(payload, fh, indent=2)
         fh.write("\n")

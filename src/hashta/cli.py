@@ -100,13 +100,20 @@ def _negatives(cp, args) -> int:
     return 1
 
 
+_BENCH_FLOORS = {"candidates": 1, "requests": 1, "warmup": 0}
+
+
 def _bench_setting(cp, args, key, default):
+    """A [bench] count, the flag first; a count below its floor cannot be timed."""
     value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if cp.has_option("bench", key):
-        return cp.getint("bench", key)
-    return default
+    if value is None:
+        value = cp.getint("bench", key) if cp.has_option("bench", key) else default
+    values = value if isinstance(value, list) else [value]
+    if not values:
+        raise ValueError(f"{key} needs at least one value")
+    if min(values) < _BENCH_FLOORS[key]:
+        raise ValueError(f"{key} must be at least {_BENCH_FLOORS[key]}, got {min(values)}")
+    return value
 
 
 def _load_dataset(path, config: M.ModelConfig, negatives: int):
@@ -190,6 +197,14 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
+def _print_epoch(row) -> None:
+    print(
+        f"epoch {row['epoch']}: loss={row['train_loss']:.5f}"
+        f" val_auc={row['val_auc']:.5f} ({row['seconds']:.1f}s)",
+        file=sys.stderr,
+    )
+
+
 def cmd_train(args) -> int:
     cp = _read_config(args.config)
     config = _model_config(cp, args)
@@ -198,15 +213,7 @@ def cmd_train(args) -> int:
         raise ValueError("no training samples after the chronological split")
     if not samples.val:
         print("warning: empty validation split, keeping final weights", file=sys.stderr)
-
-    def progress(row):
-        print(
-            f"epoch {row['epoch']}: loss={row['train_loss']:.5f}"
-            f" val_auc={row['val_auc']:.5f} ({row['seconds']:.1f}s)",
-            file=sys.stderr,
-        )
-
-    result = M.train(samples.train, samples.val, config, log=progress)
+    result = M.train(samples.train, samples.val, config, log=_print_epoch)
     M.save_checkpoint(args.out, result.params, config)
     D.save_id_maps(args.out + ".ids.json", log)
     with open(args.out + ".metrics.csv", "w", newline="", encoding="utf-8") as fh:
@@ -336,40 +343,37 @@ def _warn_unpinned_blas() -> None:
 
 
 def cmd_bench_ablation(args) -> int:
-    _warn_unpinned_blas()
     cp = _read_config(args.config)
     base = _model_config(cp, args)
     n_candidates = _bench_setting(cp, args, "candidates", 128)
     n_requests = _bench_setting(cp, args, "requests", 1000)
     warmup = _bench_setting(cp, args, "warmup", 100)
+    _warn_unpinned_blas()
     variants = [v.strip().upper() for v in args.variants.split(",") if v.strip()]
     lengths = args.long_lens or [base.l_lt]
     bits = args.bits_list or [base.m]
     if args.data:
         log = D.load_behavior_log(args.data)
-        base = replace(
-            base, n_items=log.n_items, n_categories=log.n_categories, n_users=log.n_users
-        )
-        events = None
     else:
-        spec = _synthetic_spec(cp, args.seed)
-        events, _ = D.generate_synthetic(spec)
+        events, _ = D.generate_synthetic(_synthetic_spec(cp, args.seed))
         log = D.log_from_events(events)
-        base = replace(
-            base, n_items=log.n_items, n_categories=log.n_categories, n_users=log.n_users
-        )
+    base = replace(
+        base, n_items=log.n_items, n_categories=log.n_categories, n_users=log.n_users
+    )
     records = []
     for l_lt in lengths:
         samples = D.build_samples(
             log.events_by_user, base.l_st, l_lt, _negatives(cp, args),
             D.build_category_index(log), base.seed,
         )
+        # only ETA hashes, so only ETA is swept over widths
         cells = [
             {"variant": v, "l_lt": l_lt, "m": m}
             for v in variants
-            for m in bits
+            for m in (bits if v == "ETA" else [base.m])
         ]
-        records += B.run_ablation(base, cells, samples, n_candidates, n_requests, warmup)
+        records += B.run_ablation(base, cells, samples, n_candidates, n_requests, warmup,
+                                  log=_print_epoch)
     B.write_report_csv(args.out + ".csv", records)
     B.write_report_json(args.out + ".json", records)
     _print_records(records)
@@ -377,8 +381,23 @@ def cmd_bench_ablation(args) -> int:
     return 0
 
 
+def _latency_summary(comparison, scaling) -> dict:
+    """Gate 10's numbers for one candidate count: the hash/full mean-latency
+    ratio per length, the retrieval growth per length step and the
+    first-vs-last attention spread."""
+    full = {r.l_lt: r.mean_us for r in comparison if r.variant == "FULL_TA"}
+    retr = [r.retrieval_mean_us for r in scaling]
+    attn = [r.attention_mean_us for r in scaling]
+    return {
+        "hash_full_ratio": {
+            str(r.l_lt): r.mean_us / full[r.l_lt] for r in comparison if r.variant == "ETA"
+        },
+        "retrieval_growth": [b / a for a, b in zip(retr, retr[1:])],
+        "attention_spread": abs(attn[-1] - attn[0]) / min(attn[-1], attn[0]),
+    }
+
+
 def cmd_bench_scaling(args) -> int:
-    _warn_unpinned_blas()
     cp = _read_config(args.config)
     base = _model_config(cp, args)
     spec = _synthetic_spec(cp, args.seed)
@@ -390,11 +409,28 @@ def cmd_bench_scaling(args) -> int:
     n_candidates = _bench_setting(cp, args, "candidates", 128)
     n_requests = _bench_setting(cp, args, "requests", 300)
     warmup = _bench_setting(cp, args, "warmup", 50)
+    _warn_unpinned_blas()
+    candidates = n_candidates if isinstance(n_candidates, list) else [n_candidates]
     lengths = args.long_lens or [256, 512, 1024, 2048]
-    records = B.run_scaling(base, lengths, n_candidates, n_requests, warmup)
+    sweep = B.run_scaling(base, lengths, candidates, n_requests, warmup)
+    cells = [{"variant": v, "l_lt": l_lt} for l_lt in lengths for v in ("FULL_TA", "ETA")]
+    records, summary = list(sweep), {}
+    for nc in candidates:
+        comparison = B.run_comparison(base, cells, nc, n_requests, warmup)
+        records += comparison
+        summary[str(nc)] = _latency_summary(
+            comparison, [r for r in sweep if r.n_candidates == nc]
+        )
     B.write_report_csv(args.out + ".csv", records)
-    B.write_report_json(args.out + ".json", records)
+    B.write_report_json(args.out + ".json", records, summary=summary)
     _print_records(records)
+    for nc, s in summary.items():
+        ratios = ", ".join(f"L={l_lt} {r:.3f}" for l_lt, r in s["hash_full_ratio"].items())
+        print(
+            f"candidates={nc}: hash/full mean latency {ratios};"
+            f" retrieval growth per length step {[round(g, 3) for g in s['retrieval_growth']]};"
+            f" attention spread first-vs-last {s['attention_spread']:.3f}"
+        )
     print(f"wrote {args.out}.csv and {args.out}.json", file=sys.stderr)
     return 0
 

@@ -8,6 +8,7 @@ from hashta.bench import (
     STAGE_INNER,
     BenchRecord,
     environment_note,
+    format_record,
     run_ablation,
     run_cell,
     run_comparison,
@@ -223,6 +224,26 @@ def test_reports_round_trip(tmp_path):
     assert payload["records"][0]["variant"] == "ETA"
     env = payload["environment"]
     assert {"platform", "python", "numpy", "single_threaded"} <= set(env)
+
+
+def test_format_record_tells_swept_rows_apart():
+    recs = [
+        BenchRecord(
+            label=variant_label(variant, 8, 4), variant=variant, l_lt=8, k=4,
+            n_candidates=nc, d=4, m=m, n_rounds=2, auc=0.5, n_requests=5, warmup=1,
+            mean_us=10.0, p50_us=9.0, p95_us=12.0,
+            retrieval_mean_us=float("nan"), attention_mean_us=float("nan"),
+        )
+        for variant, m, nc in [("ETA", 4, 16), ("ETA", 64, 16), ("ETA", 4, 128),
+                               ("FULL_TA", 4, 16), ("FULL_TA", 4, 128)]
+    ]
+    lines = [format_record(r) for r in recs]
+    assert len(set(lines)) == len(lines)
+    assert [" m=4 " in line for line in lines] == [True, False, True, False, False]
+    assert all(f"candidates={r.n_candidates} " in line for r, line in zip(recs, lines))
+    recs[0].error = "ValueError: boom"
+    assert format_record(recs[0]).split() == ["TA/HASH/8/4", "m=4", "candidates=16", "ERROR",
+                                              "ValueError:", "boom"]
 
 
 def test_environment_note_contents():

@@ -1,14 +1,21 @@
 import csv
 import json
+import re
+import shlex
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
-from hashta.cli import main
-from hashta.data import load_behavior_log
+from hashta.cli import _model_config, _negatives, _read_config, _synthetic_spec, build_parser, main
+from hashta.data import SyntheticSpec, load_behavior_log
 from hashta.fingerprint import load_table
+from hashta.model import ModelConfig
+
+ROOT = Path(__file__).resolve().parents[1]
 
 CONFIG_TEXT = """
 [model]
@@ -285,6 +292,27 @@ def test_bench_ablation_tiny(workdir, capsys, monkeypatch):
     assert "blas_threads" not in err.err
 
 
+def test_bench_ablation_sweeps_widths_on_eta_only(workdir, capsys, monkeypatch):
+    monkeypatch.setattr("hashta.bench.blas_threads", lambda: 1)
+    out = workdir["root"] / "widths"
+    code = main([
+        "bench-ablation", "--config", str(workdir["config"]),
+        "--variant", "POOLING,ETA", "--bits", "4,8", "--epochs", "1",
+        "--out", str(out),
+    ])
+    printed = capsys.readouterr()
+    assert code == 0
+    rows = list(csv.DictReader(open(str(out) + ".csv")))
+    assert [(r["variant"], r["m"]) for r in rows] == [("POOLING", "8"), ("ETA", "4"), ("ETA", "8")]
+    assert all(r["error"] == "" for r in rows)
+    # every cell trains one epoch and reports it as train does
+    assert len(re.findall(r"^epoch 0: loss=", printed.err, re.MULTILINE)) == 3
+    lines = printed.out.splitlines()
+    assert len(lines) == 3 and len(set(lines)) == 3
+    assert [" m=4 " in lines[1], " m=8 " in lines[2], " m=" in lines[0]] == [True, True, False]
+    assert all("candidates=4 " in line for line in lines)
+
+
 def test_bench_scaling_tiny(workdir, capsys, monkeypatch):
     monkeypatch.setattr("hashta.bench.blas_threads", lambda: 2)
     out = workdir["root"] / "scal"
@@ -292,12 +320,124 @@ def test_bench_scaling_tiny(workdir, capsys, monkeypatch):
         "bench-scaling", "--config", str(workdir["config"]),
         "--long-len", "4,8", "--out", str(out),
     ])
-    err = capsys.readouterr().err
+    printed = capsys.readouterr()
     assert code == 0
-    assert "warning: blas_threads is 2" in err
+    assert "warning: blas_threads is 2" in printed.err
     rows = list(csv.DictReader(open(str(out) + ".csv")))
-    assert [int(r["l_lt"]) for r in rows] == [4, 8]
-    assert all(float(r["retrieval_mean_us"]) > 0 for r in rows)
+    swept = [r for r in rows if r["stage_inner"] != "0"]
+    compared = [r for r in rows if r["stage_inner"] == "0"]
+    assert [(r["variant"], int(r["l_lt"])) for r in swept] == [("ETA", 4), ("ETA", 8)]
+    assert all(float(r["retrieval_mean_us"]) > 0 for r in swept)
+    assert [(r["variant"], int(r["l_lt"])) for r in compared] == [
+        ("FULL_TA", 4), ("ETA", 4), ("FULL_TA", 8), ("ETA", 8)
+    ]
+    assert all(float(r["mean_us"]) > 0 for r in compared)
+    summary = json.loads((workdir["root"] / "scal.json").read_text())["summary"]
+    assert list(summary) == ["4"]  # the config's candidate count
+    got = summary["4"]
+    mean = {(r["variant"], r["l_lt"]): float(r["mean_us"]) for r in compared}
+    assert got["hash_full_ratio"] == pytest.approx(
+        {n: mean[("ETA", n)] / mean[("FULL_TA", n)] for n in ("4", "8")}
+    )
+    retr = [float(r["retrieval_mean_us"]) for r in swept]
+    attn = [float(r["attention_mean_us"]) for r in swept]
+    assert got["retrieval_growth"] == pytest.approx([retr[1] / retr[0]])
+    assert got["attention_spread"] == pytest.approx(abs(attn[1] - attn[0]) / min(attn))
+    assert "candidates=4: hash/full mean latency L=4 " in printed.out
+
+
+BAD_COUNTS = [("requests", "0"), ("warmup", "-1"), ("candidates", "0")]
+
+
+@pytest.mark.parametrize("command", ["bench-ablation", "bench-scaling"])
+@pytest.mark.parametrize("key,value", BAD_COUNTS)
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_bench_refuses_counts_that_cannot_be_timed(
+        command, key, value, where, workdir, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("hashta.bench.blas_threads", lambda: 1)
+    monkeypatch.setattr("hashta.bench.run_ablation", pytest.fail)
+    monkeypatch.setattr("hashta.bench.run_scaling", pytest.fail)
+    config = tmp_path / "bad.ini"
+    argv = [command, "--config", str(config), "--out", str(tmp_path / "report")]
+    if where == "flag":
+        config.write_text(CONFIG_TEXT)
+        argv += [f"--{key}", value]
+    else:
+        config.write_text(re.sub(rf"^{key} = .*$", f"{key} = {value}", CONFIG_TEXT, flags=re.M))
+    assert main(argv) == 1
+    printed = capsys.readouterr()
+    floor = 0 if key == "warmup" else 1
+    assert printed.err.splitlines() == [f"error: {key} must be at least {floor}, got {value}"]
+    assert printed.out == ""
+    assert not (tmp_path / "report.csv").exists()
+
+
+def _readme_commands():
+    """Every `hashta ...` line of README's sh blocks, continuation lines
+    joined and leading VAR=value assignments and comments dropped."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", text, re.MULTILINE | re.DOTALL):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            while words and re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*=.*", words[0]):
+                words.pop(0)
+            if words and words[0] == "hashta":
+                commands.append(words[1:])
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    parser = build_parser()
+    for words in commands:
+        try:
+            parser.parse_args(words)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: hashta {shlex.join(words)}")
+    documented = {words[0] for words in commands}
+    assert documented == {"gen-data", "train", "precompute", "eval", "retrieve",
+                          "bench-ablation", "bench-scaling"}
+    configs = {words[2] for words in commands if words[1:2] == ["--config"]}
+    assert configs == {"configs/example.ini", "configs/ablation.ini", "configs/scaling.ini"}
+    assert all((ROOT / path).exists() for path in configs)
+
+
+def test_ablation_ini_matches_the_quality_gates_fixture():
+    # the literal settings of the interest_experiment fixture in test_acceptance.py
+    spec = SyntheticSpec(
+        n_users=2_000, n_items=10_000, n_categories=100, events_per_user=400,
+        interest_categories_per_user=4, favorites_per_category=1,
+        noise_rate=0.2, long_term_gap_days=14, impression_window_days=30,
+        seed=11,
+    )
+    base = ModelConfig(
+        d=16, l_st=16, l_lt=256, k=16, n_heads=2, m=32, n_rounds=2,
+        variant="ETA", seed=11, learning_rate=5e-3, l2=1e-4,
+        batch_size=128, epochs=12,
+    )  # the fixture's vocabulary sizes come from the log, as bench-ablation's do
+    path = ROOT / "configs" / "ablation.ini"
+    args = build_parser().parse_args(["bench-ablation", "--config", str(path)])
+    cp = _read_config(path)
+    assert asdict(_synthetic_spec(cp, args.seed)) == asdict(spec)
+    assert asdict(_model_config(cp, args)) == asdict(base)
+    assert _negatives(cp, args) == 3
+
+
+def test_scaling_ini_matches_the_latency_gate():
+    # gate 10's literal config in test_acceptance.py
+    gate = ModelConfig(
+        variant="ETA", d=32, l_st=16, l_lt=1024, k=48, n_heads=2,
+        m=32, n_rounds=2, seed=5, n_items=5_000, n_categories=100,
+        n_users=200, epochs=0,
+    )
+    path = ROOT / "configs" / "scaling.ini"
+    args = build_parser().parse_args(["bench-scaling", "--config", str(path)])
+    cp = _read_config(path)
+    spec = _synthetic_spec(cp, args.seed)
+    got = _model_config(cp, args)
+    vocab = {"n_items": spec.n_items, "n_categories": spec.n_categories, "n_users": spec.n_users}
+    assert asdict(got) | vocab == asdict(gate)
 
 
 def test_module_entry_point(tmp_path):

@@ -1,7 +1,7 @@
 """The package root exports only what its own callers use.
 
 A name belongs in ``hashta.__all__`` when the command line, the bench
-harness, an experiment script or the serving benchmark refers to it;
+harness or the serving benchmark refers to it;
 helpers that only tests call live in ``tests/`` instead.
 """
 
@@ -12,7 +12,7 @@ import hashta
 
 ROOT = Path(__file__).resolve().parents[1]
 CALLERS = [ROOT / "src" / "hashta" / "cli.py", ROOT / "src" / "hashta" / "bench.py"]
-CALLERS += sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+CALLERS += sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def test_all_lists_exactly_the_root_exports():
