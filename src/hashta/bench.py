@@ -56,6 +56,7 @@ import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -231,14 +232,18 @@ def run_cell(config: M.ModelConfig, samples, n_candidates: int, n_requests: int,
 
 def run_ablation(base: M.ModelConfig, cells, samples, n_candidates: int,
                  n_requests: int, warmup: int, log=None):
-    """One record per cell; a failing cell is recorded and the sweep goes on."""
+    """One record per cell; a failing cell is recorded and the sweep goes on.
+    log, if given, takes each epoch's row and cell=, the cell's label plus
+    m= on ETA cells, as format_record names them."""
     records = []
     for cell in cells:
         config = replace(base, **cell)
+        name = variant_label(config.variant, config.l_lt, config.k)
+        if config.variant == "ETA":
+            name += f" m={config.m}"
         try:
-            records.append(
-                run_cell(config, samples, n_candidates, n_requests, warmup, log=log)
-            )
+            records.append(run_cell(config, samples, n_candidates, n_requests, warmup,
+                                    log=log and partial(log, cell=name)))
         except Exception as exc:  # keep the sweep alive, report the cell
             records.append(_record(config, n_candidates, n_requests, warmup,
                                    error=f"{type(exc).__name__}: {exc}"))

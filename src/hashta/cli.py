@@ -197,10 +197,10 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _print_epoch(row) -> None:
+def _print_epoch(row, cell: str = "") -> None:
     print(
         f"epoch {row['epoch']}: loss={row['train_loss']:.5f}"
-        f" val_auc={row['val_auc']:.5f} ({row['seconds']:.1f}s)",
+        f" val_auc={row['val_auc']:.5f} ({row['seconds']:.1f}s)" + (f" {cell}" if cell else ""),
         file=sys.stderr,
     )
 

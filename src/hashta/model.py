@@ -436,8 +436,8 @@ def _batch_fingerprints(b: _Batch, params: ModelParams, config: ModelConfig,
     distinct, inverse = np.unique(keys, return_inverse=True)
     rows = np.take(params.item_emb, distinct // width, axis=0)
     rows += np.take(params.cat_emb, distinct % width, axis=0)
-    # np.take, not words[inverse]: 34 against 445 us for 33k (n, 2) rows
-    # on a 2-vCPU x86_64 host
+    # np.take, not words[inverse]: 44 against 159 us for 33k (n, 1) rows
+    # (m=32, two rounds) on a 2-vCPU x86_64 host
     words = np.take(fingerprint_batch(rows, fam).words, inverse, axis=0)
     n = b.t_items.shape[0]
     return (FingerprintTable(words[:n], fam.rounds, fam.bits_per_round),

@@ -161,21 +161,6 @@ def _top_k(n: int, length: int, k_eff: int, short: bool, shift: int, dtype, bloc
     return pos, bits
 
 
-def _densify(words: np.ndarray, rounds: int, bits_per_round: int) -> np.ndarray:
-    """Concatenate per-round bit blocks into a single word per fingerprint.
-
-    Each round's word keeps its bits in the low positions with zero
-    padding above, so when all rounds fit in 64 bits the blocks can be
-    shifted together without overlap; popcounts, and therefore total
-    distances, are unchanged.  Applies only when every round is one word
-    wide (bits_per_round <= 64).
-    """
-    acc = words[..., 0].copy()
-    for r in range(1, rounds):
-        acc |= words[..., r] << np.uint64(r * bits_per_round)
-    return acc[..., None]
-
-
 def _distance_keys(q: np.ndarray, kt: np.ndarray, shift: int, ctype) -> np.ndarray:
     """distance << shift for one block of query rows against their keys,
     (n_block, length), in per-thread scratch.  kt[w] is word w of the
@@ -217,9 +202,6 @@ def hamming_top_k_batch(queries: FingerprintTable, keys: FingerprintTable, valid
     shift = (length - 1).bit_length()
     ctype = np.int32 if (keys.rounds * keys.bits_per_round + 1) << shift < 2**31 else np.int64
     _, low, k_eff, short = _low_keys(valid_mask, kwords.shape[:-1], n, k, ctype)
-    if keys.rounds > 1 and 0 < keys.bits_per_round * keys.rounds <= 64:
-        qwords = _densify(qwords, keys.rounds, keys.bits_per_round)
-        kwords = _densify(kwords, keys.rounds, keys.bits_per_round)
     kt = np.ascontiguousarray(kwords.transpose(2, 0, 1) if per_query else kwords.T)
 
     def block_keys(rows):

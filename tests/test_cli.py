@@ -306,7 +306,11 @@ def test_bench_ablation_sweeps_widths_on_eta_only(workdir, capsys, monkeypatch):
     assert [(r["variant"], r["m"]) for r in rows] == [("POOLING", "8"), ("ETA", "4"), ("ETA", "8")]
     assert all(r["error"] == "" for r in rows)
     # every cell trains one epoch and reports it as train does
-    assert len(re.findall(r"^epoch 0: loss=", printed.err, re.MULTILINE)) == 3
+    epochs = re.findall(r"^epoch 0: loss=.*$", printed.err, re.MULTILINE)
+    assert len(epochs) == 3
+    # each names its cell as the report lines do
+    assert [line.split(") ", 1)[1] for line in epochs] == [
+        "AVG/-/8/-", "TA/HASH/8/4 m=4", "TA/HASH/8/4 m=8"]
     lines = printed.out.splitlines()
     assert len(lines) == 3 and len(set(lines)) == 3
     assert [" m=4 " in lines[1], " m=8 " in lines[2], " m=" in lines[0]] == [True, True, False]

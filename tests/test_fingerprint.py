@@ -1,6 +1,8 @@
+import struct
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hashta.errors import FormatError
@@ -12,7 +14,6 @@ from hashta.fingerprint import (
     save_table,
     table_from_bytes,
     table_to_bytes,
-    words_per_fingerprint,
     _round_normals,
 )
 from oracles import hamming
@@ -63,9 +64,16 @@ def one_row(vec, family) -> FingerprintTable:
 
 
 def bit_of(fp: FingerprintTable, r: int, j: int) -> int:
-    wpr = words_per_fingerprint(fp.bits_per_round, 1)
-    word = fp.words[0, r * wpr + j // 64]
-    return int((int(word) >> (j % 64)) & 1)
+    i = r * fp.bits_per_round + j
+    return int((int(fp.words[0, i // 64]) >> (i % 64)) & 1)
+
+
+def packed_words(bits) -> list:
+    """The words of a (rounds, bits_per_round) bit matrix with bit j of
+    round r at position r * bits_per_round + j, zero above."""
+    rounds, m = bits.shape
+    value = sum(int(b) << (r * m + j) for (r, j), b in np.ndenumerate(bits))
+    return [(value >> (64 * w)) & MASK64 for w in range(-(-rounds * m // 64))]
 
 
 def naive_hamming(a: FingerprintTable, b: FingerprintTable) -> int:
@@ -145,22 +153,24 @@ def test_positive_scaling_is_invariant(seed, scale, dim):
     st.integers(1, 3),
 )
 @settings(max_examples=40, deadline=None)
+@example(seed=0, dim=3, m=32, rounds=2)  # rounds fill one word exactly
+@example(seed=1, dim=4, m=33, rounds=2)  # round 1 straddles a word boundary
+@example(seed=2, dim=5, m=70, rounds=2)
 def test_packed_bits_match_naive_projection_signs(seed, dim, m, rounds):
     fam = new_hash_family(dim, m, rounds, seed=77)
-    v = np.random.default_rng(seed).standard_normal(dim)
-    fp = one_row(v, fam)
-    expect = naive_bits(v, fam)
-    for r in range(rounds):
-        for j in range(m):
-            assert bit_of(fp, r, j) == expect[r, j]
+    u, v = np.random.default_rng(seed).standard_normal((2, dim))
+    bits_u, bits_v = naive_bits(u, fam), naive_bits(v, fam)
+    fu, fv = one_row(u, fam), one_row(v, fam)
+    assert [int(w) for w in fu.words[0]] == packed_words(bits_u)
+    assert [int(w) for w in fv.words[0]] == packed_words(bits_v)
+    assert hamming(fu, fv) == int(np.count_nonzero(bits_u != bits_v))
 
 
 def test_padding_bits_are_zero():
     fam = new_hash_family(3, 5, 2, seed=1)
     fp = one_row(np.zeros(3), fam)  # all data bits set, padding must stay clear
-    assert fp.words.shape == (1, 2)
-    for w in fp.words[0]:
-        assert int(w) >> 5 == 0
+    assert fp.words.shape == (1, 1)
+    assert int(fp.words[0, 0]) >> 10 == 0
 
 
 def test_batch_equals_single():
@@ -187,7 +197,8 @@ def test_hamming_frozen_example():
     fam = new_hash_family(4, 16, 2, seed=11)
     f1 = one_row(np.array([1.0, -2.0, 0.5, 3.0]), fam)
     f2 = one_row(np.array([-1.0, 0.0, 2.0, 1.0]), fam)
-    assert [hex(int(w)) for w in f1.words[0]] == ["0x4920", "0x202d"]
+    # 0x4920 | 0x202d << 16: round 0's bits, then round 1's from bit 16
+    assert [hex(int(w)) for w in f1.words[0]] == ["0x202d4920"]
     assert hamming(f1, f2) == 11
 
 
@@ -256,7 +267,7 @@ def test_deviation_concentrates_with_more_bits():
 
 
 def test_table_take_copies_rows_and_checks_ids():
-    fam = new_hash_family(4, 70, 2, seed=22)  # two words per round
+    fam = new_hash_family(4, 70, 2, seed=22)  # 140 bits in three words
     table = fingerprint_batch(np.random.default_rng(23).standard_normal((9, 4)), fam)
     for ids in ([4, 0, 4, 8], np.array([4, 0, 4, 8], np.int32), np.array([4, 0, 4, 8])):
         got = table.take(ids)
@@ -291,7 +302,7 @@ def test_table_header_is_stable():
     table = FingerprintTable(np.array([[1, 2]], dtype=np.uint64), 2, 33)
     blob = table_to_bytes(table)
     assert blob[:4] == b"ETAF"
-    assert int.from_bytes(blob[4:8], "little") == 1
+    assert int.from_bytes(blob[4:8], "little") == 2
     assert int.from_bytes(blob[8:12], "little") == 2
     assert int.from_bytes(blob[12:16], "little") == 33
     assert int.from_bytes(blob[16:24], "little") == 1
@@ -316,6 +327,13 @@ def test_table_corruption_names_offset(mangle, offset_text):
     with pytest.raises(FormatError) as err:
         table_from_bytes(mangle(blob))
     assert offset_text in str(err.value)
+
+
+def test_version_1_table_is_refused():
+    # a 2-round, 32-bit table as version 1 wrote it: one word per round
+    blob = struct.pack("<4sIIIQ", b"ETAF", 1, 2, 32, 1) + struct.pack("<2Q", 0x4920, 0x202D)
+    with pytest.raises(FormatError, match="offset 4.*precompute"):
+        table_from_bytes(blob)
 
 
 def test_serialized_words_are_little_endian():

@@ -164,6 +164,18 @@ def test_invalid_args_rejected():
         category_hard_search_batch([1], np.ones((2, 3)), np.ones((2, 3), bool), 1)
 
 
+@pytest.mark.parametrize("rounds,m,query_words,key_words", [
+    (1, 128, 2, 3),  # unequal widths: a third key word no query word would meet
+    (2, 32, 1, 2),  # two rounds of 32 bits in one word each, the old per-round layout
+])
+def test_word_counts_are_checked_before_any_distance(rounds, m, query_words, key_words):
+    query = FingerprintTable(np.zeros((1, query_words), np.uint64), rounds, m)
+    keys = FingerprintTable(np.zeros((2, key_words), np.uint64), rounds, m)
+    keys.words[1, -1] = np.uint64(2**64 - 1)
+    with pytest.raises(ValueError, match="words"):
+        hamming_top_k_batch(query, keys, np.ones(2, bool), 1)
+
+
 # ---------------------------------------------------------------------------
 # batch
 
