@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Mapping
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -394,38 +394,15 @@ def build_category_index(log: BehaviorLog) -> dict:
     return index
 
 
-def _window_rows(window) -> tuple:
-    return tuple(map(tuple, window.tolist() if isinstance(window, np.ndarray) else window))
-
-
-class _WindowedValue:
-    """Equality and hash by value for records with ``short_seq`` and
-    ``long_seq`` windows: an (n, 3) array window equals the same rows held
-    as a tuple of (item, category, ts) tuples."""
-
-    def _value(self) -> tuple:
-        return tuple(
-            _window_rows(getattr(self, f.name)) if f.name.endswith("_seq") else getattr(self, f.name)
-            for f in fields(self)
-        )
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._value() == other._value()
-
-    def __hash__(self):
-        return hash(self._value())
-
-
 @dataclass(frozen=True, eq=False)
-class Sample(_WindowedValue):
+class Sample:
     """One scoring instance: a candidate item against a user state.
 
     A window is an (n, 3) integer array of (item, category, ts) rows, oldest
     first, or a sequence of such row tuples.  build_samples stores read-only
     int64 arrays (object only for values beyond int64) and gives a
-    positive and its negatives the same arrays."""
+    positive and its negatives the same arrays.  Samples compare and hash
+    by identity."""
 
     user_id: int
     target_item: int

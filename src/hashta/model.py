@@ -51,11 +51,16 @@ rounds to 1.0 and a saturated score would leave (0, 1).  Both paths sum
 item and category embeddings in the weights' dtype, and hashing always
 projects in float64, so table and live bits come from the same sums.
 
-Checkpoint layout ("HTAC"): magic, little-endian u32 version (1), u32
-length of a JSON echo of the config, the JSON bytes, then every
-parameter tensor as little-endian float32 in `param_names` order (item,
+Parameters live in one 1-d buffer, ModelParams.flat, holding every
+trainable tensor back to back in the order _param_shapes gives (item,
 category, user, context, optional age table, short-attention wq/wk/wv/wo,
-long-attention wq/wk/wv/wo, then MLP weight/bias pairs).
+long-attention wq/wk/wv/wo, then MLP weight/bias pairs); the named fields
+are views into it.  Gradients and the Adam moments are buffers of the
+same layout, so an Adam step is a few whole-buffer passes.
+
+Checkpoint layout ("HTAC"): magic, little-endian u32 version (1), u32
+length of a JSON echo of the config, the JSON bytes, then that buffer as
+little-endian float32.
 """
 
 from __future__ import annotations
@@ -72,7 +77,7 @@ from typing import Optional
 import numpy as np
 
 from .attention import MHTAParams, masked_attention, masked_attention_backward
-from .data import Sample, SECONDS_PER_DAY, _WindowedValue
+from .data import Sample, SECONDS_PER_DAY
 from ._scratch import scratch_buf
 from .errors import FormatError, NumericError
 from .fingerprint import FingerprintTable, HashFamily, fingerprint_batch, new_hash_family
@@ -129,6 +134,14 @@ class ModelConfig:
 
 @dataclass
 class ModelParams:
+    """Every trainable tensor as a named view of one 1-d buffer, `flat`,
+    laid out as _param_shapes gives; `family` is the fixed hash family.
+
+    Write a field in place (`params.item_emb[3] += g`, `w[...] = x`) and
+    never rebind one: a rebound field no longer aliases `flat`, which
+    training, cloning and checkpoints read."""
+
+    flat: np.ndarray
     item_emb: np.ndarray
     cat_emb: np.ndarray
     user_emb: np.ndarray
@@ -151,20 +164,6 @@ def _attn_alpha(config: ModelConfig) -> float:
     return 1.0 / math.sqrt(config.d // config.n_heads)
 
 
-def _attn_from_rng(rng, config: ModelConfig):
-    d, n_heads = config.d, config.n_heads
-    d_h = d // n_heads
-    bound = 1.0 / np.sqrt(d)
-    shape = (n_heads, d, d_h)
-    return MHTAParams(
-        rng.uniform(-bound, bound, shape),
-        rng.uniform(-bound, bound, shape),
-        rng.uniform(-bound, bound, shape),
-        rng.uniform(-bound, bound, (n_heads * d_h, d)),
-        _attn_alpha(config),
-    )
-
-
 def _hash_family(config: ModelConfig) -> HashFamily:
     return new_hash_family(config.d, config.m, config.n_rounds, config.seed)
 
@@ -176,42 +175,8 @@ def _check_vocab(config: ModelConfig) -> None:
         raise ValueError("n_items x n_categories too large for an int64 behaviour key")
 
 
-def init_params(config: ModelConfig) -> ModelParams:
-    """Seeded float64 weights, the precision training runs at."""
-    _check_vocab(config)
-    d = config.d
-    bound = 1.0 / np.sqrt(d)
-    rng = np.random.default_rng(_derived_seed(config.seed, 0))
-
-    def table(n):
-        t = rng.uniform(-bound, bound, (n + 1, d))
-        t[0] = 0.0  # padding row stays zero forever
-        return t
-
-    item_emb = table(config.n_items)
-    cat_emb = table(config.n_categories)
-    user_emb = table(config.n_users)
-    ctx_emb = table(config.n_contexts)
-    time_emb = (
-        rng.uniform(-bound, bound, (N_TIME_BUCKETS, d)) if config.use_time_buckets else None
-    )
-    short_attn = _attn_from_rng(np.random.default_rng(_derived_seed(config.seed, 1)), config)
-    long_attn = _attn_from_rng(np.random.default_rng(_derived_seed(config.seed, 2)), config)
-    mlp_rng = np.random.default_rng(_derived_seed(config.seed, 3))
-    dims = (5 * d,) + config.mlp_widths + (1,)
-    mlp_w, mlp_b = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        b = 1.0 / np.sqrt(fan_in)
-        mlp_w.append(mlp_rng.uniform(-b, b, (fan_in, fan_out)))
-        mlp_b.append(np.zeros(fan_out))
-    return ModelParams(
-        item_emb, cat_emb, user_emb, ctx_emb, time_emb,
-        short_attn, long_attn, mlp_w, mlp_b, _hash_family(config),
-    )
-
-
 def _param_shapes(config: ModelConfig) -> dict:
-    """Shape of every trainable tensor, in checkpoint order."""
+    """Shape of every trainable tensor, in buffer (and checkpoint) order."""
     d = config.d
     shapes = {
         "item_emb": (config.n_items + 1, d),
@@ -231,48 +196,68 @@ def _param_shapes(config: ModelConfig) -> dict:
     return shapes
 
 
-def param_names(config: ModelConfig) -> list:
-    return list(_param_shapes(config))
+class _Views(dict):
+    """Named views of every tensor in a 1-d buffer laid out as
+    _param_shapes(config), in that order; the buffer is `flat`."""
+
+    def __init__(self, flat: np.ndarray, config: ModelConfig):
+        super().__init__()
+        self.flat = flat
+        off = 0
+        for name, shape in _param_shapes(config).items():
+            size = math.prod(shape)
+            self[name] = flat[off : off + size].reshape(shape)
+            off += size
+
+
+def _params_from(flat: np.ndarray, config: ModelConfig, family: HashFamily) -> ModelParams:
+    t = _Views(flat, config)
+    short_attn, long_attn = (
+        MHTAParams(t[f"{k}.wq"], t[f"{k}.wk"], t[f"{k}.wv"], t[f"{k}.wo"], _attn_alpha(config))
+        for k in ("short", "long")
+    )
+    n_layers = len(config.mlp_widths) + 1
+    return ModelParams(
+        flat, t["item_emb"], t["cat_emb"], t["user_emb"], t["ctx_emb"], t.get("time_emb"),
+        short_attn, long_attn,
+        [t[f"mlp.w{i}"] for i in range(n_layers)], [t[f"mlp.b{i}"] for i in range(n_layers)],
+        family,
+    )
+
+
+_PADDED_TABLES = ("item_emb", "cat_emb", "user_emb", "ctx_emb")
+
+
+def init_params(config: ModelConfig) -> ModelParams:
+    """Seeded float64 weights, the precision training runs at."""
+    _check_vocab(config)
+    flat = np.zeros(sum(math.prod(shape) for shape in _param_shapes(config).values()))
+    views = _Views(flat, config)
+    # one generator each for the tables, short attention, long attention
+    # and MLP weights, drawn in buffer order; MLP biases start at zero
+    rngs = [np.random.default_rng(_derived_seed(config.seed, tag)) for tag in range(4)]
+    tags = {"short": 1, "long": 2, "mlp": 3}
+    for name, view in views.items():
+        if name.startswith("mlp.b"):
+            continue
+        group = name.split(".")[0]
+        bound = 1.0 / np.sqrt(view.shape[0] if group == "mlp" else config.d)
+        view[...] = rngs[tags.get(group, 0)].uniform(-bound, bound, view.shape)
+    for name in _PADDED_TABLES:
+        views[name][0] = 0.0  # padding row stays zero forever
+    return _params_from(flat, config, _hash_family(config))
 
 
 def flatten(params: ModelParams, config: ModelConfig) -> dict:
     """Live views of every trainable tensor, in checkpoint order."""
-    out = {
-        "item_emb": params.item_emb,
-        "cat_emb": params.cat_emb,
-        "user_emb": params.user_emb,
-        "ctx_emb": params.ctx_emb,
-    }
-    if config.use_time_buckets:
-        out["time_emb"] = params.time_emb
-    for block, attn in (("short", params.short_attn), ("long", params.long_attn)):
-        out[f"{block}.wq"] = attn.wq
-        out[f"{block}.wk"] = attn.wk
-        out[f"{block}.wv"] = attn.wv
-        out[f"{block}.wo"] = attn.wo
-    for i, (w, b) in enumerate(zip(params.mlp_w, params.mlp_b)):
-        out[f"mlp.w{i}"] = w
-        out[f"mlp.b{i}"] = b
-    return out
+    return _Views(params.flat, config)
 
 
 _L2_PREFIXES = ("short.", "long.", "mlp.w")
 
 
-def clone_params(params: ModelParams) -> ModelParams:
-    def cp(a):
-        return None if a is None else a.copy()
-
-    def cp_attn(a: MHTAParams) -> MHTAParams:
-        return MHTAParams(a.wq.copy(), a.wk.copy(), a.wv.copy(), a.wo.copy(), a.alpha)
-
-    return ModelParams(
-        params.item_emb.copy(), params.cat_emb.copy(), params.user_emb.copy(),
-        params.ctx_emb.copy(), cp(params.time_emb),
-        cp_attn(params.short_attn), cp_attn(params.long_attn),
-        [w.copy() for w in params.mlp_w], [b.copy() for b in params.mlp_b],
-        params.family,
-    )
+def clone_params(params: ModelParams, config: ModelConfig) -> ModelParams:
+    return _params_from(params.flat.copy(), config, params.family)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -518,9 +503,10 @@ def _scatter_add(out: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
     np.add.at(out.reshape(-1), (ids[:, None] * d + np.arange(d)).ravel(), rows.ravel())
 
 
-def _backward_batch(b: _Batch, params: ModelParams, config: ModelConfig, g_z: np.ndarray) -> dict:
-    """float64 gradients of sum(g_z * logits) for every trainable tensor."""
-    g = {name: np.zeros(arr.shape) for name, arr in flatten(params, config).items()}
+def _backward_batch(b: _Batch, params: ModelParams, config: ModelConfig, g_z: np.ndarray) -> _Views:
+    """float64 gradients of sum(g_z * logits), as views of one buffer laid
+    out as the weights."""
+    g = _Views(np.zeros(params.flat.size), config)
     last = len(params.mlp_w) - 1
     g[f"mlp.w{last}"] += b.acts[-1].T @ g_z[:, None]
     g[f"mlp.b{last}"] += g_z.sum()
@@ -595,7 +581,8 @@ def loss_and_gradients(
     batch, params: ModelParams, config: ModelConfig,
     frozen_selections: Optional[np.ndarray] = None,
 ):
-    """Mean logit-space BCE + L2, and its analytic float64 gradients.
+    """Mean logit-space BCE + L2, and its analytic float64 gradients: named
+    views, as flatten gives the weights, of one buffer, `grads.flat`.
 
     frozen_selections optionally pins the retrieval, in the selectors' own
     form: a (B, k) position array aligned with the batch, -1 past a
@@ -612,41 +599,46 @@ def loss_and_gradients(
         if name.startswith(_L2_PREFIXES):
             loss += config.l2 * float((arr * arr).sum())
             g[name] += 2.0 * config.l2 * arr
-    for name in ("item_emb", "cat_emb", "user_emb", "ctx_emb"):
+    for name in _PADDED_TABLES:
         g[name][0] = 0.0  # padding row is frozen
     if not np.isfinite(loss):
         raise NumericError("loss is non-finite")
     return loss, g
 
 
-@dataclass
 class AdamState:
-    m: dict
-    v: dict
-    t: int = 0
+    """Adam's step count and moments for a weight buffer, in its dtype, and
+    the temporaries adam_step reuses: the float64 gradient term and the
+    update's numerator and denominator."""
+
+    def __init__(self, flat: np.ndarray):
+        self.t = 0
+        self.m, self.v, self.num, self.den = (np.zeros_like(flat) for _ in range(4))
+        self.g_term = np.zeros(flat.shape)
 
 
-def adam_init(flat: dict) -> AdamState:
-    return AdamState(
-        {k: np.zeros_like(v) for k, v in flat.items()},
-        {k: np.zeros_like(v) for k, v in flat.items()},
-    )
-
-
-def adam_step(flat: dict, grads: dict, state: AdamState, lr: float,
+def adam_step(flat: np.ndarray, grads: np.ndarray, state: AdamState, lr: float,
               beta1=0.9, beta2=0.999, eps=1e-8):
+    """One Adam update (Kingma & Ba) of the weight buffer, in place.
+
+    Per element this is m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
+    w -= lr (m / bc1) / (sqrt(v / bc2) + eps), with the (1 - b) g terms in
+    the gradient's float64 and the rest in the weights' dtype."""
     state.t += 1
     bc1 = 1.0 - beta1 ** state.t
     bc2 = 1.0 - beta2 ** state.t
-    for name, arr in flat.items():
-        gr = grads[name]
-        m = state.m[name]
-        v = state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * gr
-        v *= beta2
-        v += (1.0 - beta2) * gr * gr
-        arr -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    m, v, g_term, num, den = state.m, state.v, state.g_term, state.num, state.den
+    m *= beta1
+    m += np.multiply(grads, 1.0 - beta1, out=g_term)
+    v *= beta2
+    np.multiply(grads, 1.0 - beta2, out=g_term)
+    v += np.multiply(g_term, grads, out=g_term)
+    np.sqrt(np.divide(v, bc2, out=den), out=den)
+    den += eps
+    np.divide(m, bc1, out=num)
+    num *= lr
+    num /= den
+    flat -= num
 
 
 @dataclass
@@ -665,12 +657,10 @@ def train(train_samples, val_samples, config: ModelConfig,
         return TrainResult(params, [], -1)
     if len(train_samples) == 0:
         raise ValueError("no training samples")
-    flat = flatten(params, config)
-    adam = adam_init(flat)
+    adam = AdamState(params.flat)
     rng = np.random.default_rng(_derived_seed(config.seed, 4))
-    best = clone_params(params)
-    best_auc = -1.0
-    best_epoch = -1
+    # epoch 0 replaces these when there is validation data (an AUC is in [0, 1])
+    best, best_auc, best_epoch = params, -1.0, -1
     metrics = []
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
@@ -685,14 +675,14 @@ def train(train_samples, val_samples, config: ModelConfig,
                 raise NumericError(
                     f"training diverged at epoch {epoch} batch {start // config.batch_size}: {exc}"
                 ) from exc
-            adam_step(flat, grads, adam, config.learning_rate)
+            adam_step(params.flat, grads.flat, adam, config.learning_rate)
             losses.append(loss)
         val_auc = float("nan")
         if len(val_samples) > 0:
             val_auc = evaluate(val_samples, params, config).auc
             if val_auc > best_auc:
                 best_auc = val_auc
-                best = clone_params(params)
+                best = clone_params(params, config)
                 best_epoch = epoch
         row = {
             "epoch": epoch,
@@ -703,8 +693,6 @@ def train(train_samples, val_samples, config: ModelConfig,
         metrics.append(row)
         if log is not None:
             log(row)
-    if best_epoch < 0:  # no validation data: keep the final weights
-        best = params
     return TrainResult(best, metrics, best_epoch)
 
 
@@ -812,13 +800,14 @@ def verify_item_fingerprints(table: FingerprintTable, params: ModelParams,
 
 
 @dataclass(frozen=True, eq=False)
-class Request(_WindowedValue):
+class Request:
     """One user state to score candidates against.
 
     Windows take the same forms as a Sample's: an (n, 3) integer array of
     (item, category, ts) rows, whose columns are read as they are, or a
     sequence of such row tuples, read into int64.  A float array or one of
-    any other shape is refused with a ValueError."""
+    any other shape is refused with a ValueError.  Requests compare and
+    hash by identity."""
 
     user_id: int
     context_bucket: int
@@ -1019,12 +1008,10 @@ def save_checkpoint(path, params: ModelParams, config: ModelConfig) -> None:
     cfg = asdict(config)
     cfg["mlp_widths"] = list(config.mlp_widths)
     blob = json.dumps(cfg).encode("utf-8")
-    flat = flatten(params, config)
     with open(path, "wb") as fh:
         fh.write(_CKPT_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(blob)))
         fh.write(blob)
-        for name in param_names(config):
-            fh.write(flat[name].astype("<f4").tobytes())
+        fh.write(params.flat.astype("<f4").tobytes())
 
 
 def load_checkpoint(path):
@@ -1063,31 +1050,17 @@ def load_checkpoint(path):
         raise FormatError(f"invalid config echo: {exc}") from exc
     off += blob_len
     _check_vocab(config)
-    t = {}
+    start = off
     for name, shape in _param_shapes(config).items():
-        size = math.prod(shape)
-        nbytes = 4 * size
+        nbytes = 4 * math.prod(shape)
         if len(data) < off + nbytes:
             raise FormatError(
                 f"truncated tensor {name!r} at offset {off}: need {nbytes} bytes,"
                 f" have {len(data) - off}"
             )
-        # astype copies into an aligned, writable, native float32 array
-        t[name] = np.frombuffer(data, dtype="<f4", count=size, offset=off).reshape(shape).astype(
-            np.float32)
         off += nbytes
     if off != len(data):
         raise FormatError(f"{len(data) - off} trailing bytes at offset {off}")
-    alpha = _attn_alpha(config)
-    short_attn, long_attn = (
-        MHTAParams(t[f"{k}.wq"], t[f"{k}.wk"], t[f"{k}.wv"], t[f"{k}.wo"], alpha)
-        for k in ("short", "long")
-    )
-    n_layers = len(config.mlp_widths) + 1
-    params = ModelParams(
-        t["item_emb"], t["cat_emb"], t["user_emb"], t["ctx_emb"], t.get("time_emb"),
-        short_attn, long_attn,
-        [t[f"mlp.w{i}"] for i in range(n_layers)], [t[f"mlp.b{i}"] for i in range(n_layers)],
-        _hash_family(config),
-    )
-    return params, config
+    # astype copies into an aligned, writable, native float32 array
+    flat = np.frombuffer(data, dtype="<f4", count=(off - start) // 4, offset=start).astype(np.float32)
+    return _params_from(flat, config, _hash_family(config)), config

@@ -6,6 +6,7 @@ with_specials makes inputs that probe the edges of such definitions.
 """
 
 import math
+from dataclasses import fields
 
 import numpy as np
 
@@ -120,6 +121,36 @@ def request_from_sample(sample) -> Request:
         sample.user_id, sample.context_bucket, sample.timestamp,
         sample.short_seq, sample.long_seq,
     )
+
+
+def record_value(record) -> tuple:
+    """A Sample's or Request's fields as one hashable value, each window as
+    a tuple of (item, category, ts) row tuples, so an array window and the
+    same rows held as tuples give equal values."""
+    def rows(window):
+        return tuple(map(tuple, window.tolist() if isinstance(window, np.ndarray) else window))
+
+    return tuple(rows(getattr(record, f.name)) if f.name.endswith("_seq")
+                 else getattr(record, f.name) for f in fields(record))
+
+
+def adam_step_per_tensor(flat: dict, grads: dict, state: dict, lr: float,
+                         beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam (Kingma & Ba, arXiv 1412.6980) tensor by tensor over named
+    weights, as whole-array expressions: state holds the step count "t"
+    and per-name moments "m" and "v" in each weight's dtype."""
+    state["t"] += 1
+    bc1 = 1.0 - beta1 ** state["t"]
+    bc2 = 1.0 - beta2 ** state["t"]
+    for name, arr in flat.items():
+        gr = grads[name]
+        m = state["m"].setdefault(name, np.zeros_like(arr))
+        v = state["v"].setdefault(name, np.zeros_like(arr))
+        m *= beta1
+        m += (1.0 - beta1) * gr
+        v *= beta2
+        v += (1.0 - beta2) * gr * gr
+        arr -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
 
 
 def item_categories_from_samples(samples, config) -> np.ndarray:

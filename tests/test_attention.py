@@ -5,13 +5,17 @@ import pytest
 
 from hashta import attention
 from hashta.attention import MHTAParams, masked_attention, masked_attention_backward
-from hashta.model import ModelConfig, _attn_from_rng
+from hashta.model import ModelConfig, init_params
 from oracles import softmax_oracle, with_specials
 
 
 def attention_params(d, n_heads, seed) -> MHTAParams:
-    """The model's seeded attention init for a d-dim, n_heads block."""
-    return _attn_from_rng(np.random.default_rng(seed), ModelConfig(d=d, n_heads=n_heads))
+    """A seeded d-dim, n_heads block, drawn as the model's init draws one."""
+    rng = np.random.default_rng(seed)
+    d_h = d // n_heads
+    bound = 1.0 / np.sqrt(d)
+    wq, wk, wv = (rng.uniform(-bound, bound, (n_heads, d, d_h)) for _ in range(3))
+    return MHTAParams(wq, wk, wv, rng.uniform(-bound, bound, (d, d)), 1.0 / math.sqrt(d_h))
 
 
 def attend(target, sequence, mask, params: MHTAParams) -> np.ndarray:
@@ -65,9 +69,11 @@ def softmax_weights(logits, mask) -> np.ndarray:
 
 
 def test_init_is_seeded_and_bounded():
-    a = attention_params(8, 2, seed=3)
-    b = attention_params(8, 2, seed=3)
-    c = attention_params(8, 2, seed=4)
+    def model_block(seed):
+        config = ModelConfig(d=8, n_heads=2, n_items=1, n_categories=1, n_users=1, seed=seed)
+        return init_params(config).long_attn
+
+    a, b, c = model_block(3), model_block(3), model_block(4)
     np.testing.assert_array_equal(a.wq, b.wq)
     assert not np.array_equal(a.wq, c.wq)
     bound = 1.0 / np.sqrt(8)

@@ -42,16 +42,18 @@ def import_spans():
 
 def test_serving_hooks_resolve_and_only_retired_training_names_are_absent():
     # the traced run wraps names hashta.model looks up at call time; a
-    # serving stage that stopped resolving would silently read 0 per layer
+    # serving stage or training step that stopped resolving would silently
+    # read 0 per layer (model.adam_step_us, model.loss_grad_us, ...)
     spans = import_spans()
     hooks = spans.Hooks(spans.Tracer())
     retired = {f"hashta.model.{name}" for name in
                ("mhta_with_cache", "mhta_backward", "top_k_by_hamming", "simhash")}
     assert set(hooks.absent) == retired
-    serving = ("prepare_request", "candidate_embeddings", "retrieval_stage", "attention_stage",
-               "finish_stage", "fingerprint_batch", "hamming_top_k_batch")
+    required = ("prepare_request", "candidate_embeddings", "retrieval_stage", "attention_stage",
+                "finish_stage", "fingerprint_batch", "hamming_top_k_batch",
+                "loss_and_gradients", "adam_step", "evaluate")
     hooked = {attr for _, attr, _, _ in spans._HOOKS}
-    assert set(serving) <= hooked
+    assert set(required) <= hooked
 
 
 def test_traced_eta_request_counts_its_hamming_top_k():

@@ -26,7 +26,7 @@ from hashta.data import (
 )
 from hashta.errors import FormatError
 from hashta.model import ModelConfig, init_params, loss_and_gradients
-from oracles import interest_oracle
+from oracles import interest_oracle, record_value
 
 
 def ev(user, item, cat, ts, btype="click"):
@@ -483,9 +483,10 @@ def assert_same_log(got, want):
 
 
 def assert_same_samples(got, want):
-    assert (got.train, got.val, got.test, got.stats) == (
-        want.train, want.val, want.test, want.stats
-    )
+    for split in ("train", "val", "test"):
+        assert list(map(record_value, getattr(got, split))) == list(
+            map(record_value, getattr(want, split))), split
+    assert got.stats == want.stats
 
 
 # per field: values that take the array path, values only a per-line int()
