@@ -1,18 +1,24 @@
 """Behavior logs, training samples, and the synthetic interest generator.
 
-Log files are CSV lines ``user_id,item_id,category_id,behavior_type,
+Log files are UTF-8 CSV lines ``user_id,item_id,category_id,behavior_type,
 timestamp`` with behavior tokens pv / fav / cart / buy (stored internally
-as click / favorite / cart / purchase).  Raw ids are remapped to dense
-1-based integers in first-appearance order at load time (0 is reserved
-for padding); the mapping is kept on the loaded log and can be persisted
-next to derived datasets.  Malformed rows are counted and tolerated up
-to 1% of the file, beyond which loading fails and names the first bad
-line.
+as click / favorite / cart / purchase); a leading byte-order mark is
+dropped.  Raw ids are remapped to dense 1-based integers in
+first-appearance order at load time (0 is reserved for padding); the
+mapping is kept on the loaded log and can be persisted next to derived
+datasets.  An int64 id column whose span (max - min + 1) is at most twice
+its row count is remapped through a span-long table of each id's first
+row, so only the distinct ids are sorted; an object column (ids beyond
+int64) or a wider span is argsorted whole.  Malformed rows are counted
+and tolerated up to 1% of the file, beyond which loading fails and names
+the first bad line.
 
 The loader parses the file with array operations, in blocks of whole
 lines of about 256 KB (``_BLOCK_BYTES``), so that each block's byte, digit
 and index arrays stay in the L2 cache across the passes over them; line
-numbers carry on from block to block.  Only lines of a strict shape take
+numbers carry on from block to block.  A block's commas and newlines are
+found in one scan, and a strict line's four numeric fields are read in
+one digit pass over all of them.  Only lines of a strict shape take
 that path: exactly four commas, numeric fields of 1-18 ASCII digits, a
 known behavior token and a positive timestamp.  Every other line is
 stripped and parsed on its own with ``int()``, which keeps what that
@@ -238,24 +244,30 @@ def _parse_block(data: bytes, pos: int, end: int, line0: int):
     columns and the (line, start, stop) of the other non-blank lines, then
     the block's newline count."""
     buf = np.frombuffer(data, dtype=np.uint8, count=end - pos, offset=pos)
-    newlines = np.flatnonzero(buf == ord("\n"))
-    start = np.concatenate(([0], newlines + 1))
-    stop = np.concatenate((newlines, [buf.size]))
-    commas = np.flatnonzero(buf == ord(","))
-    first_comma = np.searchsorted(commas, start)
+    # every comma and newline, then buf.size as a newline closing the last
+    # line; line r ends at sep[ends[r]] and its commas are the seps before
+    sep = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
+    ends = np.flatnonzero(buf[sep] == ord("\n"))
+    n_newlines = ends.size
+    sep = np.append(sep, buf.size)
+    ends = np.append(ends, sep.size - 1)
+    stop = sep[ends]
+    start = np.concatenate(([0], stop[:-1] + 1))
     # four-comma lines; a field holding any byte outside its digits or token
     # fails its check below and the line is then read on its own
-    strict = np.flatnonzero(np.diff(first_comma, append=commas.size) == 4)
-    digits = buf - np.uint8(ord("0"))
-
-    cuts = commas[first_comma[strict, None] + np.arange(4)]
-    lo = [start[strict], *(cuts.T + 1)]  # field f of strict line r is lo[f][r]:hi[f][r]
-    hi = [*cuts.T, stop[strict]]
-    (user, ok_u), (item, ok_i), (cat, ok_c), (ts, ok_t) = (
-        _parse_digits(digits, lo[f], hi[f]) for f in (0, 1, 2, 4)
+    strict = np.flatnonzero(np.diff(ends, prepend=-1) == 5)
+    last = ends[strict]
+    cut = [sep[last - j] for j in (4, 3, 2, 1)]  # the four commas
+    # user, item, category and timestamp fields of every strict line, one
+    # field's column after another, in one digit pass
+    value, ok = _parse_digits(
+        buf - np.uint8(ord("0")),
+        np.concatenate((start[strict], cut[0] + 1, cut[1] + 1, cut[3] + 1)),
+        np.concatenate((cut[0], cut[1], cut[2], stop[strict])),
     )
-    kind = _token_kinds(buf, lo[3], hi[3])
-    good = ok_u & ok_i & ok_c & ok_t & (kind >= 0) & (ts > 0)
+    user, item, cat, ts = value.reshape(4, -1)
+    kind = _token_kinds(buf, cut[2] + 1, cut[3])
+    good = ok.reshape(4, -1).all(axis=0) & (kind >= 0) & (ts > 0)
 
     # blank lines are skipped and not counted; a block ending in a newline
     # has an empty last line, so lines are counted by newlines
@@ -263,7 +275,7 @@ def _parse_block(data: bytes, pos: int, end: int, line0: int):
     other[strict[good]] = False
     lines = np.flatnonzero(other)
     return (user[good], item[good], cat[good], kind[good], ts[good], strict[good] + line0,
-            lines + line0, start[lines] + pos, stop[lines] + pos), newlines.size
+            lines + line0, start[lines] + pos, stop[lines] + pos), n_newlines
 
 
 def _parse_log(text: str):
@@ -310,7 +322,14 @@ def _parse_log(text: str):
 
 def _dense_ids(raw):
     """Dense 1-based ids of raw in first-appearance order, the raw -> dense
-    map, and the row where each dense id first appears."""
+    map, and the row where each dense id first appears.  An int64 column
+    spanning at most twice its row count goes through a first-row table;
+    any other (ids beyond int64, or spread wider) is argsorted whole."""
+    if raw.dtype == np.int64 and raw.size:
+        lo = int(raw.min())
+        span = int(raw.max()) - lo + 1
+        if span <= 2 * raw.size:
+            return _dense_ids_by_table(raw, lo, span)
     order = np.argsort(raw)
     ordered = raw[order]
     head = np.ones(raw.size, dtype=bool)  # first row of each run of equal ids
@@ -324,6 +343,23 @@ def _dense_ids(raw):
     ids[order] = dense[np.cumsum(head) - 1]
     id_map = dict(zip(ordered[starts[by_appearance]].tolist(), range(1, starts.size + 1)))
     return ids, id_map, first[by_appearance]
+
+
+def _dense_ids_by_table(raw, lo: int, span: int):
+    """_dense_ids of an int64 column whose values lie in lo .. lo + span - 1,
+    through a span-long table of each value's first row: only the distinct
+    values are sorted, not the rows."""
+    key = raw - lo
+    first = np.full(span, raw.size)
+    # minimum.at, not a scatter of rows in reverse: which of a repeated fancy
+    # index's writes lands last is not specified
+    np.minimum.at(first, key, np.arange(raw.size))
+    present = np.flatnonzero(first < raw.size)
+    by_appearance = present[np.argsort(first[present])]
+    dense = np.zeros(span, dtype=np.int64)
+    dense[by_appearance] = np.arange(1, present.size + 1)
+    id_map = dict(zip((by_appearance + lo).tolist(), range(1, present.size + 1)))
+    return dense[key], id_map, first[by_appearance]
 
 
 def _index_log(user, item, category, behavior, ts, n_rows, n_malformed) -> BehaviorLog:
@@ -351,7 +387,8 @@ def _index_log(user, item, category, behavior, ts, n_rows, n_malformed) -> Behav
 
 
 def load_behavior_log(path) -> BehaviorLog:
-    with open(path, "r", encoding="utf-8") as fh:
+    # utf-8-sig drops the byte-order mark spreadsheet exports start with
+    with open(path, "r", encoding="utf-8-sig") as fh:
         text = fh.read()
     cols, n_rows, n_malformed = _parse_log(text)
     return _index_log(*cols, n_rows, n_malformed)

@@ -68,6 +68,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import os
 import struct
 import time
 from dataclasses import asdict, dataclass
@@ -1014,53 +1015,67 @@ def save_checkpoint(path, params: ModelParams, config: ModelConfig) -> None:
         fh.write(params.flat.astype("<f4").tobytes())
 
 
+def _read_exact(fh, buf, off: int):
+    """Fill buf from fh, positioned at offset off; a short read is a FormatError."""
+    view = memoryview(buf).cast("B")
+    got = fh.readinto(view)
+    if got != view.nbytes:
+        raise FormatError(f"short read at offset {off}: need {view.nbytes} bytes, got {got}")
+    return buf
+
+
 def load_checkpoint(path):
     """Returns (params, config).  Validates header, config echo and shapes.
 
-    Parameters come back as float32, exactly the values the file holds,
-    and request scoring then runs at that precision."""
+    Every extent is checked against the file's size before the payload is
+    read, in one read, straight into the parameter buffer.  Parameters come
+    back as float32, exactly the values the file holds, and request scoring
+    then runs at that precision."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < _CKPT_HEADER.size:
-        raise FormatError(f"truncated header: {len(data)} bytes (offset 0)")
-    magic, version, blob_len = _CKPT_HEADER.unpack_from(data, 0)
-    if magic != CHECKPOINT_MAGIC:
-        raise FormatError(f"bad magic {magic!r} at offset 0")
-    if version != CHECKPOINT_VERSION:
-        raise FormatError(f"unsupported checkpoint version {version} at offset 4")
-    off = _CKPT_HEADER.size
-    if len(data) < off + blob_len:
-        raise FormatError(f"truncated config echo at offset {off}")
-    try:
-        cfg_dict = json.loads(data[off : off + blob_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"unreadable config echo at offset {off}: {exc}") from exc
-    if not isinstance(cfg_dict, dict):
-        raise FormatError(f"config echo at offset {off} is not a JSON object")
-    # checkpoints written before the option was removed echo it as false
-    if cfg_dict.pop("hash_projected", False) is not False:
-        raise FormatError("checkpoint uses hash_projected retrieval, which was removed")
-    known = {f.name for f in ModelConfig.__dataclass_fields__.values()}
-    unknown = set(cfg_dict) - known
-    if unknown:
-        raise FormatError(f"unknown config keys in checkpoint: {sorted(unknown)}")
-    try:
-        config = ModelConfig(**cfg_dict)
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"invalid config echo: {exc}") from exc
-    off += blob_len
-    _check_vocab(config)
-    start = off
-    for name, shape in _param_shapes(config).items():
-        nbytes = 4 * math.prod(shape)
-        if len(data) < off + nbytes:
-            raise FormatError(
-                f"truncated tensor {name!r} at offset {off}: need {nbytes} bytes,"
-                f" have {len(data) - off}"
-            )
-        off += nbytes
-    if off != len(data):
-        raise FormatError(f"{len(data) - off} trailing bytes at offset {off}")
-    # astype copies into an aligned, writable, native float32 array
-    flat = np.frombuffer(data, dtype="<f4", count=(off - start) // 4, offset=start).astype(np.float32)
+        size = os.fstat(fh.fileno()).st_size
+        if size < _CKPT_HEADER.size:
+            raise FormatError(f"truncated header: {size} bytes (offset 0)")
+        header = _read_exact(fh, bytearray(_CKPT_HEADER.size), 0)
+        magic, version, blob_len = _CKPT_HEADER.unpack(header)
+        if magic != CHECKPOINT_MAGIC:
+            raise FormatError(f"bad magic {magic!r} at offset 0")
+        if version != CHECKPOINT_VERSION:
+            raise FormatError(f"unsupported checkpoint version {version} at offset 4")
+        off = _CKPT_HEADER.size
+        if size < off + blob_len:
+            raise FormatError(f"truncated config echo at offset {off}")
+        blob = _read_exact(fh, bytearray(blob_len), off)
+        try:
+            cfg_dict = json.loads(blob.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise FormatError(f"unreadable config echo at offset {off}: {exc}") from exc
+        if not isinstance(cfg_dict, dict):
+            raise FormatError(f"config echo at offset {off} is not a JSON object")
+        # checkpoints written before the option was removed echo it as false
+        if cfg_dict.pop("hash_projected", False) is not False:
+            raise FormatError("checkpoint uses hash_projected retrieval, which was removed")
+        known = {f.name for f in ModelConfig.__dataclass_fields__.values()}
+        unknown = set(cfg_dict) - known
+        if unknown:
+            raise FormatError(f"unknown config keys in checkpoint: {sorted(unknown)}")
+        try:
+            config = ModelConfig(**cfg_dict)
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"invalid config echo: {exc}") from exc
+        off += blob_len
+        _check_vocab(config)
+        start = off
+        for name, shape in _param_shapes(config).items():
+            nbytes = 4 * math.prod(shape)
+            if size < off + nbytes:
+                raise FormatError(
+                    f"truncated tensor {name!r} at offset {off}: need {nbytes} bytes,"
+                    f" have {size - off}"
+                )
+            off += nbytes
+        if off != size:
+            raise FormatError(f"{size - off} trailing bytes at offset {off}")
+        flat = _read_exact(fh, np.empty((off - start) // 4, dtype="<f4"), start)
+    # an aligned, writable, native float32 array; a copy only on a big-endian host
+    flat = flat.astype(np.float32, copy=False)
     return _params_from(flat, config, _hash_family(config)), config

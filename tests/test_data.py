@@ -618,3 +618,94 @@ def test_recategorized_rows_are_counted(tmp_path):
     log = load_behavior_log(path)
     assert log.n_recategorized == 1
     assert log.item_category == {1: 1, 2: 1}
+
+
+def test_byte_order_mark_does_not_drop_the_first_row(tmp_path):
+    # spreadsheet exports start the file with a UTF-8 byte-order mark
+    events, _ = generate_synthetic(SyntheticSpec(n_users=1, n_items=50, n_categories=5,
+                                                 events_per_user=199, seed=4))
+    plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    write_behavior_log(plain, events)
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    got = load_behavior_log(marked)
+    assert (got.n_rows, got.n_malformed) == (199, 0)
+    assert_same_log(got, load_behavior_log(plain))
+
+
+# ---------------------------------------------------------------------------
+# dense ids: a first-appearance table for narrow int64 columns, a sort for
+# object columns and wide spans
+
+
+def _dict_dense_ids(raw):
+    id_map, first = {}, []
+    for row, value in enumerate(raw):
+        if value not in id_map:
+            id_map[value] = len(id_map) + 1
+            first.append(row)
+    return [id_map[v] for v in raw], id_map, first
+
+
+@pytest.mark.parametrize("lo", [0, 1, -7, -(2**62), 2**62])
+@pytest.mark.parametrize("extra", [0, 1])  # span 2n (the table's bound), then 2n + 1
+def test_dense_ids_at_the_table_bound_match_a_dict(lo, extra):
+    rng = np.random.default_rng(abs(lo) % 97 + extra)
+    for n in (2, 3, 10, 200):
+        span = 2 * n + extra
+        raw = rng.integers(0, span, size=n)
+        raw[:2] = 0, span - 1  # both ends present, so the span is exactly 2n + extra
+        raw = (rng.permutation(raw) + lo).astype(np.int64)
+        ids, id_map, first = data._dense_ids(raw)
+        want_ids, want_map, want_first = _dict_dense_ids(raw.tolist())
+        assert ids.dtype == np.int64 and first.dtype == np.intp
+        assert ids.tolist() == want_ids
+        assert list(id_map.items()) == list(want_map.items())
+        assert first.tolist() == want_first
+
+
+@pytest.mark.parametrize("how", [
+    "small", "spread", "negative", "beyond_int64", "at_bound", "past_bound"])
+def test_loading_is_unchanged_by_a_one_to_one_relabelling(tmp_path, monkeypatch, how):
+    events, _ = generate_synthetic(SyntheticSpec(n_users=30, n_items=300, n_categories=6,
+                                                 events_per_user=40, seed=5))
+    # shuffled, so that first appearances are not in id order
+    events = [events[j] for j in np.random.default_rng(1).permutation(len(events))]
+    n = len(events)
+    maps = {}
+    for field in ("user_id", "item_id", "category_id"):
+        distinct = sorted({getattr(e, field) for e in events})
+        if how in ("at_bound", "past_bound"):
+            # the top id moves so that the column spans 2n or 2n + 1 values
+            top = distinct[0] + 2 * n - (how == "at_bound")
+            new = distinct[:-1] + [top]
+        else:
+            new = [{"small": v, "spread": v * 3_000_000_000_001 + 17,  # over about 10**15
+                    "negative": -v, "beyond_int64": v + 2**63}[how] for v in distinct]
+        maps[field] = dict(zip(distinct, new))
+    relabelled = [BehaviorEvent(maps["user_id"][e.user_id], maps["item_id"][e.item_id],
+                                maps["category_id"][e.category_id], e.behavior_type,
+                                e.timestamp) for e in events]
+    base_path, path = tmp_path / "base.csv", tmp_path / "relabelled.csv"
+    write_behavior_log(base_path, events)
+    write_behavior_log(path, relabelled)
+    base = load_behavior_log(base_path)
+
+    tables = []
+    by_table = data._dense_ids_by_table
+    monkeypatch.setattr(data, "_dense_ids_by_table",
+                        lambda *a: tables.append(a[0].size) or by_table(*a))
+    got = load_behavior_log(path)
+    # the table takes int64 columns of span up to 2n; the sort the rest
+    assert tables == ([n] * 3 if how in ("small", "negative", "at_bound") else [])
+
+    for name in ("offsets", "item", "category", "behavior", "timestamp"):
+        a, b = getattr(got.events_by_user, name), getattr(base.events_by_user, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert got.events_by_user.users == base.events_by_user.users
+    assert (got.n_rows, got.n_malformed, got.n_recategorized) == (
+        base.n_rows, base.n_malformed, base.n_recategorized)
+    assert got.item_category == base.item_category
+    for name, field in (("user_map", "user_id"), ("item_map", "item_id"),
+                        ("category_map", "category_id")):
+        want = [(maps[field][raw], dense) for raw, dense in getattr(base, name).items()]
+        assert list(getattr(got, name).items()) == want, name

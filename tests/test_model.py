@@ -1,6 +1,8 @@
 import hashlib
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -1176,6 +1178,51 @@ def test_checkpoint_rejects_corruption(tmp_path):
     with pytest.raises(FormatError) as err:
         load_checkpoint(p)
     assert "bogus_key" in str(err.value)
+
+
+def test_every_prefix_and_one_byte_more_is_a_format_error_naming_an_offset(tmp_path):
+    config = tiny_config(use_time_buckets=True)
+    path = tmp_path / "model.htac"
+    save_checkpoint(path, init_params(config), config)
+    blob = path.read_bytes()
+    bad = tmp_path / "bad.htac"
+    for cut in [*range(len(blob)), len(blob) + 1]:
+        bad.write_bytes(blob[:cut] if cut < len(blob) else blob + b"\x00")
+        with pytest.raises(FormatError, match=r"offset \d+"):
+            load_checkpoint(bad)
+
+
+def test_short_payload_read_is_a_format_error(tmp_path, monkeypatch):
+    # a file that shrinks after its size was taken: the one payload read comes up short
+    config = tiny_config()
+    path = tmp_path / "model.htac"
+    save_checkpoint(path, init_params(config), config)
+    size = path.stat().st_size
+    path.write_bytes(path.read_bytes()[:-7])
+    monkeypatch.setattr(model.os, "fstat", lambda fd: SimpleNamespace(st_size=size))
+    with pytest.raises(FormatError, match=r"short read at offset \d+: need \d+ bytes, got"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_is_read_without_a_second_copy(tmp_path):
+    config = tiny_config(d=16, n_items=30_000)  # about 2 MB of float32 weights
+    params = init_params(config)
+    path = tmp_path / "model.htac"
+    save_checkpoint(path, params, config)
+    payload = 4 * params.flat.size
+    assert 1.8e6 < payload < 2.2e6
+    load_checkpoint(path)  # first-call imports and caches stay out of the peak
+    tracemalloc.start()
+    try:
+        loaded, _ = load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * payload, peak / payload
+    flat = loaded.flat
+    assert flat.dtype == np.float32 and flat.dtype.isnative
+    assert flat.flags.aligned and flat.flags.writeable and flat.flags.c_contiguous
+    assert np.array_equal(flat, params.flat.astype(np.float32))
 
 
 def test_checkpoint_bytes_are_pinned(tmp_path):
