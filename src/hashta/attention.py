@@ -16,9 +16,10 @@ Gradients are analytic (derived by hand from the same form, checked
 against central differences in the tests).  Retrieving variants pass only
 their selected rows, so the selection is a fixed gather: gradients flow
 into the selected rows and the projections, never into the selection
-itself.  Training, evaluation, forward and request scoring all attend
-through masked_attention; only served full attention, which projects each
-distinct history row once per request, has its own kernel.
+itself.  The model's one forward pass attends through masked_attention
+over either window form: one row set shared by a request's candidates,
+or one per sample.  Only full attention over a shared window, which
+projects each distinct history row once per request, has its own kernel.
 """
 
 from __future__ import annotations

@@ -137,13 +137,6 @@ def _log_stats(log: D.BehaviorLog) -> dict:
     }
 
 
-def _item_cats_from_log(log: D.BehaviorLog) -> np.ndarray:
-    arr = np.zeros(log.n_items + 1, dtype=np.int64)
-    for item, cat in log.item_category.items():
-        arr[item] = cat
-    return arr
-
-
 def _check_vocab(config: M.ModelConfig, log: D.BehaviorLog):
     if (config.n_items, config.n_categories, config.n_users) != (
         log.n_items, log.n_categories, log.n_users
@@ -155,17 +148,23 @@ def _check_vocab(config: M.ModelConfig, log: D.BehaviorLog):
         )
 
 
-def _load_fingerprints(path, params, config, log: D.BehaviorLog):
-    if log.n_recategorized:
-        raise FormatError(
-            f"{log.n_recategorized} rows of the log list an item under a category other"
-            " than its first-seen one; a fingerprint table hashes each item with its"
-            " first-seen category, so table scoring would not match live hashing on"
-            " those rows (score without --fingerprints)"
-        )
-    table = load_table(path)
-    M.verify_item_fingerprints(table, params, config, _item_cats_from_log(log))
-    return table
+def _load_for_scoring(args, cp):
+    """(params, config, log, samples, item_fps) for scoring a checkpoint on
+    a log: the vocabularies must match, samples are built at the
+    checkpoint's seed, and a --fingerprints table is verified against the
+    weights and the log's item categories."""
+    params, config = M.load_checkpoint(args.checkpoint)
+    log = D.load_behavior_log(args.data)
+    _check_vocab(config, log)
+    samples = D.build_samples(
+        log.events_by_user, config.l_st, config.l_lt, _negatives(cp, args),
+        D.build_category_index(log), config.seed,
+    )
+    item_fps = None
+    if args.fingerprints:
+        item_fps = load_table(args.fingerprints)
+        M.verify_item_fingerprints(item_fps, params, config, log.item_categories())
+    return params, config, log, samples, item_fps
 
 
 def _emit(payload: dict, out_path=None):
@@ -242,19 +241,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    params, config = M.load_checkpoint(args.checkpoint)
-    cp = _read_config(args.config)
-    log = D.load_behavior_log(args.data)
-    _check_vocab(config, log)
-    samples = D.build_samples(
-        log.events_by_user, config.l_st, config.l_lt, _negatives(cp, args),
-        D.build_category_index(log), config.seed,
-    )
+    params, config, log, samples, item_fps = _load_for_scoring(args, _read_config(args.config))
     if not samples.test:
         raise ValueError("empty test split")
-    item_fps = None
-    if args.fingerprints:
-        item_fps = _load_fingerprints(args.fingerprints, params, config, log)
     result = M.evaluate(samples.test, params, config, item_fps)
     _emit(
         {
@@ -275,7 +264,7 @@ def cmd_precompute(args) -> int:
     params, config = M.load_checkpoint(args.checkpoint)
     log = D.load_behavior_log(args.data)
     _check_vocab(config, log)
-    table = M.fingerprint_items(params, config, _item_cats_from_log(log))
+    table = M.fingerprint_items(params, config, log.item_categories())
     save_table(args.out, table)
     print(
         json.dumps(
@@ -291,23 +280,13 @@ def cmd_precompute(args) -> int:
 
 
 def cmd_retrieve(args) -> int:
-    params, config = M.load_checkpoint(args.checkpoint)
-    cp = _read_config(args.config)
+    params, config, _, samples, item_fps = _load_for_scoring(args, _read_config(args.config))
     if args.k is not None:
         config = replace(config, k=args.k)
-    log = D.load_behavior_log(args.data)
-    _check_vocab(config, log)
-    samples = D.build_samples(
-        log.events_by_user, config.l_st, config.l_lt, _negatives(cp, args),
-        D.build_category_index(log), config.seed,
-    )
     pool = samples.test or samples.val or samples.train
     if not 0 <= args.sample < len(pool):
         raise ValueError(f"--sample {args.sample} outside [0, {len(pool)})")
     sample = pool[args.sample]
-    item_fps = None
-    if args.fingerprints:
-        item_fps = _load_fingerprints(args.fingerprints, params, config, log)
     top = M.long_selection(sample, params, config, item_fps)
     picked = sample.long_seq[top.indices]
     _emit(

@@ -86,8 +86,9 @@ class UserEvents(Mapping):
     """Read-only user -> list of BehaviorEvent, held as columns.
 
     User ``users[j]`` owns rows ``offsets[j]:offsets[j + 1]`` of the item,
-    category, behavior-type and timestamp columns.  Lists are built on
-    access; ``build_samples`` reads the columns directly.
+    category, behavior and timestamp columns; ``behavior`` holds int8
+    kinds, indices into ``_TYPE_NAMES``, named only when a list is built.
+    Lists are built on access; ``build_samples`` reads the columns directly.
     """
 
     def __init__(self, users, offsets, item, category, behavior, timestamp):
@@ -117,7 +118,7 @@ class UserEvents(Mapping):
             BehaviorEvent(user, i, c, b, t)
             for i, c, b, t in zip(
                 self.item[rows].tolist(), self.category[rows].tolist(),
-                self.behavior[rows].tolist(), self.timestamp[rows].tolist(),
+                _TYPE_NAMES[self.behavior[rows]].tolist(), self.timestamp[rows].tolist(),
             )
         ]
 
@@ -153,6 +154,22 @@ class BehaviorLog:
     def n_categories(self) -> int:
         return len(self.category_map)
 
+    def item_categories(self) -> np.ndarray:
+        """(n_items + 1,) int64 category of each dense item, 0 for the
+        padding row: the item -> category array a fingerprint table is built
+        and verified from.  A log with re-categorised rows is refused, since
+        a table hashes each item with its first-seen category only."""
+        if self.n_recategorized:
+            raise FormatError(
+                f"{self.n_recategorized} rows of the log list an item under a category other"
+                " than its first-seen one; a fingerprint table hashes each item with its"
+                " first-seen category, so table scoring would not match live hashing on"
+                " those rows (score without --fingerprints)"
+            )
+        cats = np.zeros(self.n_items + 1, dtype=np.int64)
+        cats[list(self.item_category)] = list(self.item_category.values())
+        return cats
+
 
 def _parse_line(line: str):
     parts = line.split(",")
@@ -182,7 +199,7 @@ def _event_columns(events):
         _id_column([e.user_id for e in events]),
         _id_column([e.item_id for e in events]),
         _id_column([e.category_id for e in events]),
-        np.array([e.behavior_type for e in events], dtype=str),
+        np.array([_KIND_OF[e.behavior_type] for e in events], dtype=np.int8),
         _id_column([e.timestamp for e in events]),
     )
 
@@ -214,8 +231,8 @@ def _parse_digits(digits, start, stop):
 
 
 def _token_kinds(buf, start, stop):
-    """Index into _TYPE_NAMES of each field buf[start:stop], -1 if unknown."""
-    kind = np.full(start.shape, -1)
+    """int8 index into _TYPE_NAMES of each field buf[start:stop], -1 if unknown."""
+    kind = np.full(start.shape, -1, dtype=np.int8)
     length = stop - start
     lead = buf[start]
     for k, token in enumerate(BEHAVIOR_TOKENS):
@@ -279,7 +296,7 @@ def _parse_block(data: bytes, pos: int, end: int, line0: int):
 
 
 def _parse_log(text: str):
-    """(user, item, category, behavior, timestamp) columns of the good rows
+    """(user, item, category, behavior kind, timestamp) columns of the good rows
     in file order, the non-blank row count and the malformed row count."""
     data = text.encode("utf-8")
     blocks = []
@@ -314,9 +331,8 @@ def _parse_log(text: str):
         line_of, users, items, cats, types, stamps = zip(*rows)
         order = np.argsort(np.concatenate((strict_lines, line_of)), kind="stable")
         extra = [_id_column(users), _id_column(items), _id_column(cats),
-                 np.array([_KIND_OF[t] for t in types], dtype=np.int64), _id_column(stamps)]
+                 np.array([_KIND_OF[t] for t in types], dtype=np.int8), _id_column(stamps)]
         cols = [np.concatenate(pair)[order] for pair in zip(cols, extra)]
-    cols[3] = _TYPE_NAMES[cols[3]]  # behavior kinds stay small ints until here
     return cols, n_rows, len(bad)
 
 

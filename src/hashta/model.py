@@ -29,20 +29,23 @@ hand and the training loop is plain Adam (0.9 / 0.999 / 1e-8) with L2 on
 MLP and projection weights only.  All randomness is derived from
 config.seed, so runs are reproducible bit for bit.
 
-Samples run through one padded-batch forward and its hand-derived
-backward: training, evaluation, forward (a batch of one) and
-long_selection.  Its retrieval is one selector call per batch, each
-sample's target against its own padded window, through the same
-selectors request scoring calls with one window shared by every
-candidate.  Requests, one user state against many candidates, run
-through the staged scorer below (prepare_request ... finish_stage), which
-shares the user-side work across candidates.  Both attend through
-attention.masked_attention; only served full attention has its own
-kernel, over the distinct history rows (_attend_full_batch).
+There is one forward pass, the staged scorer below: prepare a user
+state, embed the candidates, then retrieval_stage, attention_stage and
+finish_stage.  The state holds its windows in one of two forms.  A
+request (prepare_request) holds one window shared by every candidate,
+so user-side work is done once per request.  A sample batch
+(_sample_state) holds one (0, 0, 0)-padded window per sample, each
+sample's target being its one candidate; training, evaluation, forward
+(a batch of one) and long_selection run it, and training differentiates
+it by hand (_backward_batch).  The stages choose by window form only
+where the kernels differ: a shared window's full attention runs over its
+distinct history rows (_attend_full_batch), everything else attends
+through attention.masked_attention.
 
-Precision: init_params weights are float64, and the batched forward and
-backward compute in float64 whatever the weights' dtype, so forward is
-the float64 reference the request path is tested against.
+Precision: init_params weights are float64, and a sample batch's state
+holds float64 vectors, so samples score and train in float64 whatever
+the weights' dtype: forward is the float64 reference request scoring is
+tested against.
 load_checkpoint returns float32 weights, exactly what the file holds, and
 request scoring computes in the weights' dtype, so a served checkpoint
 runs in float32 from the embedding gathers to the last MLP layer.  The
@@ -294,6 +297,17 @@ def _check_id(name, value, hi):
         raise ValueError(f"{name}={value} outside [1, {hi}]")
 
 
+def _check_user_state(record, config: ModelConfig) -> None:
+    """Checks the user-side fields a Sample and a Request share."""
+    if len(record.short_seq) > config.l_st:
+        raise ValueError(f"short_seq length {len(record.short_seq)} exceeds l_st={config.l_st}")
+    if len(record.long_seq) > config.l_lt:
+        raise ValueError(f"long_seq length {len(record.long_seq)} exceeds l_lt={config.l_lt}")
+    _check_id("user_id", record.user_id, config.n_users)
+    _check_id("context_bucket", record.context_bucket, config.n_contexts)
+    _check_int("timestamp", record.timestamp)
+
+
 def _window_rows(seq, name: str) -> np.ndarray:
     """A window as (n, 3) int64 (item, category, ts) rows: an (n, 3)
     integer array as it is, or a sequence of such row tuples read into
@@ -364,14 +378,6 @@ def _masked_mean(emb: np.ndarray, mask: np.ndarray) -> np.ndarray:
 # sample batches: training, evaluation, forward and long_selection
 
 
-class _Batch:
-    """Samples as (0, 0, 0)-padded arrays, and what the forward pass keeps
-    for the backward pass."""
-
-    __slots__ = ("user_ids", "ctx_ids", "t_items", "t_cats", "target", "st", "lt",
-                 "sel_pos", "sel_mask", "short_cache", "long_cache", "acts", "pres", "z")
-
-
 def _padded(windows, name: str) -> np.ndarray:
     """(B, W, 3) int64 rows of every window, (0, 0, 0)-padded to the longest."""
     rows = [_window_rows(w, name) for w in windows]
@@ -381,120 +387,54 @@ def _padded(windows, name: str) -> np.ndarray:
     return out
 
 
-def _embed_batch(samples, params: ModelParams, config: ModelConfig) -> _Batch:
-    """Checks and embeds a batch.  Embedding sums stay in the weights'
-    dtype, as in request scoring, so hashing sees the values a fingerprint
-    table is built from."""
+def _sample_state(samples, params: ModelParams, config: ModelConfig,
+                  item_fps: Optional[FingerprintTable] = None):
+    """(state, ids, targets) of a checked batch: a RequestState with one
+    (0, 0, 0)-padded window per sample, the (B, 5) int64 rows of (user,
+    context, target item, target category, timestamp), and the targets'
+    embeddings, the candidates the stages score.
+
+    Embedding sums are made in the weights' dtype, as in request scoring,
+    so hashing sees the values a fingerprint table is built from; every
+    vector the stages compute with is then float64, whatever the weights'
+    dtype."""
     for s in samples:
-        if len(s.short_seq) > config.l_st:
-            raise ValueError(f"short_seq length {len(s.short_seq)} exceeds l_st={config.l_st}")
-        if len(s.long_seq) > config.l_lt:
-            raise ValueError(f"long_seq length {len(s.long_seq)} exceeds l_lt={config.l_lt}")
-        _check_id("user_id", s.user_id, config.n_users)
+        _check_user_state(s, config)
         _check_id("target_item", s.target_item, config.n_items)
         _check_id("target_category", s.target_category, config.n_categories)
-        _check_id("context_bucket", s.context_bucket, config.n_contexts)
-        _check_int("timestamp", s.timestamp)
-    b = _Batch()
     ids = np.array([(s.user_id, s.context_bucket, s.target_item, s.target_category, s.timestamp)
                     for s in samples], dtype=np.int64).reshape(-1, 5)
-    b.user_ids, b.ctx_ids, b.t_items, b.t_cats, now = ids.T
-    b.target = np.take(params.item_emb, b.t_items, axis=0)
-    b.target += np.take(params.cat_emb, b.t_cats, axis=0)
+    user_ids, ctx_ids, t_items, t_cats, now = ids.T
+    state = RequestState()
+    state.user_vec = np.take(params.user_emb, user_ids, axis=0).astype(np.float64, copy=False)
+    state.ctx_vec = np.take(params.ctx_emb, ctx_ids, axis=0).astype(np.float64, copy=False)
     short = _padded([s.short_seq for s in samples], "short_seq")
     long = _padded([s.long_seq for s in samples], "long_seq")
-    b.st = _embed_ids(*short.transpose(2, 0, 1), now[:, None], params, config, "short_seq")
-    b.lt = _embed_ids(*long.transpose(2, 0, 1), now[:, None], params, config, "long_seq")
-    return b
-
-
-def _batch_fingerprints(b: _Batch, params: ModelParams, config: ModelConfig,
-                        item_fps: Optional[FingerprintTable]):
-    """The targets' query bits (B rows) and the long windows' key bits
-    ((B, W) rows).  Live, each distinct (item, category) row of the batch is
-    hashed once; a table supplies the key bits, and the queries are hashed
-    from the target embeddings either way."""
-    lt, fam = b.lt, params.family
-    if item_fps is not None:
-        return fingerprint_batch(b.target, fam), item_fps.take(lt.items)
-    width = config.n_categories + 1  # below 2**63 (_check_vocab)
-    keys = np.concatenate([b.t_items * width + b.t_cats, (lt.items * width + lt.cats).ravel()])
-    distinct, inverse = np.unique(keys, return_inverse=True)
-    rows = np.take(params.item_emb, distinct // width, axis=0)
-    rows += np.take(params.cat_emb, distinct % width, axis=0)
-    # np.take, not words[inverse]: 44 against 159 us for 33k (n, 1) rows
-    # (m=32, two rounds) on a 2-vCPU x86_64 host
-    words = np.take(fingerprint_batch(rows, fam).words, inverse, axis=0)
-    n = b.t_items.shape[0]
-    return (FingerprintTable(words[:n], fam.rounds, fam.bits_per_round),
-            FingerprintTable(words[n:].reshape(lt.items.shape + words.shape[1:]), fam.rounds,
-                             fam.bits_per_round))
-
-
-def _select(b: _Batch, params: ModelParams, config: ModelConfig,
-            item_fps: Optional[FingerprintTable]):
-    """(positions, scores), each (B, k_eff), best first and -1 past a
-    sample's valid count: one call of the request selector, each sample's
-    target against its own padded window, so a row holds the positions
-    retrieval_stage picks for the same target."""
-    lt, variant, k = b.lt, config.variant, config.k
-    if variant == "ETA":
-        queries, keys = _batch_fingerprints(b, params, config, item_fps)
-        return hamming_top_k_batch(queries, keys, lt.mask, k)
-    if variant == "SIM_HARD":
-        idx, match = category_hard_search_batch(b.t_cats, lt.cats, lt.mask, k)
-        return idx, match.astype(np.float64)
-    return angular_top_k_batch(b.target, lt.base, lt.mask, k)
+    state.st = _embed_ids(*short.transpose(2, 0, 1), now[:, None], params, config, "short_seq")
+    state.lt = _embed_ids(*long.transpose(2, 0, 1), now[:, None], params, config, "long_seq")
+    for window in (state.st, state.lt):
+        window.emb = window.emb.astype(np.float64, copy=False)
+    state.lt_kv = None
+    state.item_fps = item_fps
+    state.long_fps = _long_key_bits(state.lt, params, config, item_fps)
+    target = np.take(params.item_emb, t_items, axis=0)
+    target += np.take(params.cat_emb, t_cats, axis=0)
+    return state, ids, target.astype(np.float64, copy=False)
 
 
 def _forward_batch(samples, params: ModelParams, config: ModelConfig,
                    item_fps: Optional[FingerprintTable] = None,
-                   frozen_selections: Optional[np.ndarray] = None) -> _Batch:
-    """Logits of a batch of samples in one padded pass, computed in float64
-    whatever the weights' dtype."""
-    b = _embed_batch(samples, params, config)
-    variant, d = config.variant, config.d
-    target = b.target.astype(np.float64)
-    st_emb, lt_emb = (np.asarray(w.emb, dtype=np.float64) for w in (b.st, b.lt))
-    b.short_cache = b.long_cache = b.sel_pos = None
-    if variant == "POOLING":
-        short_rep = _masked_mean(st_emb, b.st.mask)
+                   frozen_selections: Optional[np.ndarray] = None):
+    """(state, ids, probabilities) of a batch of samples: each target
+    scored against its own window through the request stages, in float64.
+    The state keeps what _backward_batch reads."""
+    state, ids, target = _sample_state(samples, params, config, item_fps)
+    if frozen_selections is None:
+        sel = retrieval_stage(state, ids[:, 2], target, ids[:, 3], params, config)
     else:
-        short_rep, b.short_cache = masked_attention(target, st_emb, b.st.mask, params.short_attn)
-    if variant == "DIN_SHORT":
-        long_rep = np.zeros_like(target)
-    elif variant in ("POOLING", "DIN_LONG_AVG"):
-        long_rep = _masked_mean(lt_emb, b.lt.mask)
-    elif variant == "FULL_TA":
-        long_rep, b.long_cache = masked_attention(target, lt_emb, b.lt.mask, params.long_attn)
-    else:
-        if frozen_selections is None:
-            frozen_selections = _select(b, params, config, item_fps)[0]
-        # selected rows in window order, -1 padding first, so a selection
-        # covering the window attends exactly as full attention does
-        b.sel_pos = np.sort(np.asarray(frozen_selections, dtype=np.int64), axis=1)
-        b.sel_mask = b.sel_pos >= 0
-        rows = np.take_along_axis(lt_emb, b.sel_pos[..., None], axis=1)
-        long_rep, b.long_cache = masked_attention(target, rows, b.sel_mask, params.long_attn)
-    user = np.take(params.user_emb, b.user_ids, axis=0)
-    ctx = np.take(params.ctx_emb, b.ctx_ids, axis=0)
-    x = np.concatenate([user, ctx, target, short_rep, long_rep], axis=1, dtype=np.float64)
-    b.acts, b.pres = [x], []
-    a = x
-    for w, bias in zip(params.mlp_w[:-1], params.mlp_b[:-1]):
-        pre = a @ w + bias
-        a = _leaky(pre)
-        b.pres.append(pre)
-        b.acts.append(a)
-    b.z = (a @ params.mlp_w[-1])[:, 0] + params.mlp_b[-1][0]
-    if not np.isfinite(b.z).all():
-        stages = [("embeddings", x[:, : 3 * d]), ("short_sequence", st_emb),
-                  ("long_sequence", lt_emb), ("mlp_input", x)]
-        for name, arr in stages + [(f"mlp_hidden_{i}", a) for i, a in enumerate(b.acts[1:])]:
-            if not np.isfinite(arr).all():
-                raise NumericError(f"non-finite value first seen at stage {name!r}")
-        raise NumericError("non-finite logit")
-    return b
+        sel = np.asarray(frozen_selections, dtype=np.int64)
+    long_rep = attention_stage(state, target, sel, params, config)
+    return state, ids, finish_stage(state, target, long_rep, params, config)
 
 
 def _scatter_add(out: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
@@ -504,33 +444,32 @@ def _scatter_add(out: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
     np.add.at(out.reshape(-1), (ids[:, None] * d + np.arange(d)).ravel(), rows.ravel())
 
 
-def _backward_batch(b: _Batch, params: ModelParams, config: ModelConfig, g_z: np.ndarray) -> _Views:
-    """float64 gradients of sum(g_z * logits), as views of one buffer laid
-    out as the weights."""
+def _backward_batch(state: RequestState, ids: np.ndarray, params: ModelParams,
+                    config: ModelConfig, g_z: np.ndarray) -> _Views:
+    """float64 gradients of sum(g_z * logits) of a sample batch's forward
+    pass, as views of one buffer laid out as the weights."""
     g = _Views(np.zeros(params.flat.size), config)
-    last = len(params.mlp_w) - 1
-    g[f"mlp.w{last}"] += b.acts[-1].T @ g_z[:, None]
-    g[f"mlp.b{last}"] += g_z.sum()
-    g_a = np.outer(g_z, params.mlp_w[-1][:, 0])
-    for i in range(last - 1, -1, -1):
-        g_pre = g_a * _dleaky(b.pres[i])
-        g[f"mlp.w{i}"] += b.acts[i].T @ g_pre
+    g_pre = g_z[:, None]  # the output layer's pre-activation
+    for i in range(len(params.mlp_w) - 1, 0, -1):
+        g[f"mlp.w{i}"] += state.acts[i - 1].T @ g_pre
         g[f"mlp.b{i}"] += g_pre.sum(axis=0)
-        g_a = g_pre @ params.mlp_w[i].T
-    g_user, g_ctx, g_target, g_short, g_long = np.split(g_a, 5, axis=1)
-    g_target = g_target.copy()
-    _scatter_add(g["user_emb"], b.user_ids, g_user)
-    _scatter_add(g["ctx_emb"], b.ctx_ids, g_ctx)
+        g_pre = (g_pre @ params.mlp_w[i].T) * _dleaky(state.pres[i - 1])
+    g["mlp.w0"] += np.concatenate(state.inputs, axis=1).T @ g_pre
+    g["mlp.b0"] += g_pre.sum(axis=0)
+    g_user, g_ctx, g_target, g_short, g_long = np.split(g_pre @ params.mlp_w[0].T, 5, axis=1)
+    user_ids, ctx_ids, t_items, t_cats = ids[:, :4].T
+    _scatter_add(g["user_emb"], user_ids, g_user)
+    _scatter_add(g["ctx_emb"], ctx_ids, g_ctx)
 
     # (window, sample index, position, gradient) of every window row read
     read = []
-    for window, cache, attn, block, g_rep in (
-        (b.st, b.short_cache, params.short_attn, "short", g_short),
-        (b.lt, b.long_cache, params.long_attn, "long", g_long),
+    for window, cache, attn, block, g_rep, pos in (
+        (state.st, state.short_cache, params.short_attn, "short", g_short, None),
+        (state.lt, state.long_cache, params.long_attn, "long", g_long, state.long_pos),
     ):
         if block == "long" and config.variant == "DIN_SHORT":
             continue
-        valid, pos = window.mask, None
+        valid = window.mask
         if cache is None:  # masked mean
             g_each = g_rep / np.maximum(valid.sum(axis=1), 1)[:, None]
             g_rows = np.broadcast_to(g_each[:, None, :], valid.shape + g_each.shape[1:])
@@ -539,8 +478,8 @@ def _backward_batch(b: _Batch, params: ModelParams, config: ModelConfig, g_z: np
             for key, val in weight_grads.items():
                 g[f"{block}.{key}"] += val
             g_target += g_query
-            if block == "long" and b.sel_pos is not None:
-                valid, pos = b.sel_mask, b.sel_pos
+            if pos is not None:  # attention read the selected rows
+                valid = pos >= 0
         which, cols = np.nonzero(valid)
         read.append((window, which, cols if pos is None else pos[which, cols], g_rows[which, cols]))
 
@@ -549,23 +488,17 @@ def _backward_batch(b: _Batch, params: ModelParams, config: ModelConfig, g_z: np
 
     read_grads = np.concatenate([g_rows for *_, g_rows in read])
     with_targets = np.concatenate([read_grads, g_target])
-    _scatter_add(g["item_emb"], np.concatenate([read_ids("items"), b.t_items]), with_targets)
-    _scatter_add(g["cat_emb"], np.concatenate([read_ids("cats"), b.t_cats]), with_targets)
+    _scatter_add(g["item_emb"], np.concatenate([read_ids("items"), t_items]), with_targets)
+    _scatter_add(g["cat_emb"], np.concatenate([read_ids("cats"), t_cats]), with_targets)
     if config.use_time_buckets:  # targets carry no age
         _scatter_add(g["time_emb"], read_ids("buckets"), read_grads)
     return g
 
 
-def _probabilities(samples, params: ModelParams, config: ModelConfig,
-                   item_fps: Optional[FingerprintTable] = None) -> np.ndarray:
-    z = _forward_batch(samples, params, config, item_fps).z
-    return np.clip(_sigmoid(z), _PROB_EPS, 1.0 - _PROB_EPS)
-
-
 def forward(sample: Sample, params: ModelParams, config: ModelConfig,
             item_fps: Optional[FingerprintTable] = None) -> float:
     """Click probability in (0, 1) for one sample: a batch of one."""
-    return float(_probabilities([sample], params, config, item_fps)[0])
+    return float(_forward_batch([sample], params, config, item_fps)[2][0])
 
 
 def long_selection(sample: Sample, params: ModelParams, config: ModelConfig,
@@ -573,9 +506,9 @@ def long_selection(sample: Sample, params: ModelParams, config: ModelConfig,
     """The long-window retrieval a forward pass would use right now."""
     if config.variant not in SELECTING_VARIANTS:
         raise ValueError(f"variant {config.variant} has no retrieval stage")
-    b = _embed_batch([sample], params, config)
-    idx, scores = _select(b, params, config, item_fps)
-    return TopKResult(idx[0], scores[0], int(np.count_nonzero(b.lt.mask)))
+    state, ids, target = _sample_state([sample], params, config, item_fps)
+    idx, scores = _retrieve(state, ids[:, 2], target, ids[:, 3], params, config)
+    return TopKResult(idx[0], scores[0], int(np.count_nonzero(state.lt.mask)))
 
 
 def loss_and_gradients(
@@ -591,11 +524,12 @@ def loss_and_gradients(
     the selection must not move under perturbation."""
     if len(batch) == 0:
         raise ValueError("empty batch")
-    b = _forward_batch(batch, params, config, frozen_selections=frozen_selections)
+    state, ids, _ = _forward_batch(batch, params, config, frozen_selections=frozen_selections)
+    z = state.z
     y = np.array([s.label for s in batch], dtype=np.float64)
     inv = 1.0 / len(batch)
-    loss = float((np.logaddexp(0.0, b.z) - y * b.z).sum()) * inv
-    g = _backward_batch(b, params, config, (_sigmoid(b.z) - y) * inv)
+    loss = float((np.logaddexp(0.0, z) - y * z).sum()) * inv
+    g = _backward_batch(state, ids, params, config, (_sigmoid(z) - y) * inv)
     for name, arr in flatten(params, config).items():
         if name.startswith(_L2_PREFIXES):
             loss += config.l2 * float((arr * arr).sum())
@@ -735,7 +669,7 @@ def evaluate(samples, params: ModelParams, config: ModelConfig,
     if len(samples) == 0:
         raise ValueError("no samples to evaluate")
     step = config.batch_size
-    scores = np.concatenate([_probabilities(samples[i : i + step], params, config, item_fps)
+    scores = np.concatenate([_forward_batch(samples[i : i + step], params, config, item_fps)[2]
                              for i in range(0, len(samples), step)])
     labels = np.array([s.label for s in samples], dtype=np.int64)
     return EvalResult(auc(scores, labels), scores, labels)
@@ -818,7 +752,36 @@ class Request:
 
 
 class RequestState:
-    __slots__ = ("user_vec", "ctx_vec", "st", "lt", "lt_kv", "long_fps", "item_fps")
+    """A user state in one of two window forms: one window shared by every
+    candidate (prepare_request: (W,) ids, (W, d) rows, (d,) user and
+    context vectors), or one per target (_sample_state: (B, W), (B, W, d),
+    (B, d)).  The stages leave on it what _backward_batch reads: attention
+    caches, long_pos (the selected positions attended, in window order),
+    the MLP's input blocks, pre-activations and activations, and logits z."""
+
+    __slots__ = ("user_vec", "ctx_vec", "st", "lt", "lt_kv", "long_fps", "item_fps",
+                 "long_pos", "long_cache", "short_cache", "inputs", "pres", "acts", "z")
+
+
+def _long_key_bits(lt: _SeqData, params: ModelParams, config: ModelConfig,
+                   item_fps: Optional[FingerprintTable]) -> Optional[FingerprintTable]:
+    """ETA's key bits for a long window of either form, None for the other
+    variants: the table's rows by item id, or live, each distinct (item,
+    category) row hashed once."""
+    if config.variant != "ETA":
+        return None
+    if item_fps is not None:
+        return item_fps.take(lt.items)
+    width = config.n_categories + 1  # below 2**63 (_check_vocab)
+    distinct, inverse = np.unique((lt.items * width + lt.cats).ravel(), return_inverse=True)
+    rows = np.take(params.item_emb, distinct // width, axis=0)
+    rows += np.take(params.cat_emb, distinct % width, axis=0)
+    fam = params.family
+    # np.take, not words[inverse]: 44 against 159 us for 33k (n, 1) rows
+    # (m=32, two rounds) on a 2-vCPU x86_64 host
+    words = np.take(fingerprint_batch(rows, fam).words, inverse, axis=0)
+    return FingerprintTable(words.reshape(lt.items.shape + words.shape[1:]), fam.rounds,
+                            fam.bits_per_round)
 
 
 def prepare_request(request: Request, params: ModelParams, config: ModelConfig,
@@ -831,13 +794,7 @@ def prepare_request(request: Request, params: ModelParams, config: ModelConfig,
     (n_heads, U, d_head) twice and (U,), or None for a window with no valid
     position.  The other attending variants fold the projections into the
     weights instead (see attention.masked_attention)."""
-    _check_id("user_id", request.user_id, config.n_users)
-    _check_id("context_bucket", request.context_bucket, config.n_contexts)
-    _check_int("timestamp", request.timestamp)
-    if len(request.short_seq) > config.l_st:
-        raise ValueError(f"short_seq length {len(request.short_seq)} exceeds l_st={config.l_st}")
-    if len(request.long_seq) > config.l_lt:
-        raise ValueError(f"long_seq length {len(request.long_seq)} exceeds l_lt={config.l_lt}")
+    _check_user_state(request, config)
     state = RequestState()
     state.user_vec = params.user_emb[request.user_id]
     state.ctx_vec = params.ctx_emb[request.context_bucket]
@@ -859,13 +816,8 @@ def prepare_request(request: Request, params: ModelParams, config: ModelConfig,
         ks, vs = rows @ attn.wk, rows @ attn.wv
         vs *= counts[:, None]
         state.lt_kv = ks, vs, counts
-    state.long_fps = None
     state.item_fps = item_fps
-    if config.variant == "ETA":
-        if item_fps is not None:
-            state.long_fps = item_fps.take(state.lt.items)
-        else:
-            state.long_fps = fingerprint_batch(state.lt.base, params.family)
+    state.long_fps = _long_key_bits(state.lt, params, config, item_fps)
     return state
 
 
@@ -887,33 +839,37 @@ def candidate_embeddings(candidates, params: ModelParams, config: ModelConfig):
     return items, cats, emb
 
 
+def _retrieve(state: RequestState, cand_items: np.ndarray, cand_emb: np.ndarray,
+              cand_cats: np.ndarray, params: ModelParams, config: ModelConfig):
+    """(positions, scores) of a selecting variant's long-window top-k,
+    each (n_candidates, k_eff), best first and -1 past a row's valid count.
+
+    With a fingerprint table on the state, candidate query bits are read
+    from it by item id: the table binds each item to its catalog category,
+    so the bits equal hashing the embedding whenever a candidate carries
+    that category."""
+    lt, variant, k = state.lt, config.variant, config.k
+    if variant == "ETA":
+        if state.item_fps is not None:
+            queries = state.item_fps.take(cand_items)
+        else:
+            queries = fingerprint_batch(cand_emb, params.family)
+        return hamming_top_k_batch(queries, state.long_fps, lt.mask, k)
+    if variant == "SIM_HARD":
+        idx, match = category_hard_search_batch(cand_cats, lt.cats, lt.mask, k)
+        return idx, match.astype(np.float64)
+    return angular_top_k_batch(cand_emb, lt.base, lt.mask, k)
+
+
 def retrieval_stage(state: RequestState, cand_items: np.ndarray, cand_emb: np.ndarray,
                     cand_cats: np.ndarray, params: ModelParams,
                     config: ModelConfig) -> Optional[np.ndarray]:
-    """(n_candidates, k_eff) selected positions, or None when the variant
-    attends to everything.  A row holds the positions long_selection picks
-    for the same target.
-
-    With a fingerprint table on the request state, candidate query bits
-    are read from it by item id: candidates are catalog items, so their
-    fingerprints are table rows (the table binds each item to its catalog
-    category; hashing the embedding gives the same bits)."""
-    variant = config.variant
-    lt = state.lt
-    if variant == "ETA":
-        if state.item_fps is not None:
-            qfps = state.item_fps.take(cand_items)
-        else:
-            qfps = fingerprint_batch(cand_emb, params.family)
-        idx, _ = hamming_top_k_batch(qfps, state.long_fps, lt.mask, config.k)
-        return idx
-    if variant == "SIM_HARD":
-        idx, _ = category_hard_search_batch(cand_cats, lt.cats, lt.mask, config.k)
-        return idx
-    if variant == "ETA_ANGULAR":
-        idx, _ = angular_top_k_batch(cand_emb, lt.base, lt.mask, config.k)
-        return idx
-    return None
+    """(n_candidates, k_eff) selected positions, best first, or None when
+    the variant attends to everything.  A row holds the positions
+    long_selection picks for the same target."""
+    if config.variant not in SELECTING_VARIANTS:
+        return None
+    return _retrieve(state, cand_items, cand_emb, cand_cats, params, config)[0]
 
 
 def _attend_full_batch(kv, cand_q: np.ndarray, attn: MHTAParams):
@@ -939,45 +895,78 @@ def _attend_full_batch(kv, cand_q: np.ndarray, attn: MHTAParams):
 
 def attention_stage(state: RequestState, cand_emb: np.ndarray, sel: Optional[np.ndarray],
                     params: ModelParams, config: ModelConfig) -> np.ndarray:
-    """Long-window representation for every candidate, (n_candidates, d)."""
+    """Long-window representation for every candidate, (n_candidates, d).
+
+    Selected rows are attended in window order, -1 padding first, so a
+    selection covering the window attends as full attention does and both
+    window forms sum in one order.  A shared window's full attention runs
+    over its distinct rows (_attend_full_batch), and its selected rows are
+    gathered with np.take; per-target windows attend through
+    masked_attention and gather with take_along_axis."""
     n, d = cand_emb.shape
-    variant = config.variant
+    variant, lt = config.variant, state.lt
+    shared = lt.emb.ndim == 2
+    state.long_pos = state.long_cache = None
     if variant == "DIN_SHORT":
         return np.zeros((n, d), cand_emb.dtype)
     if variant in ("POOLING", "DIN_LONG_AVG"):
-        return np.broadcast_to(_masked_mean(state.lt.emb, state.lt.mask), (n, d)).copy()
+        return np.broadcast_to(_masked_mean(lt.emb, lt.mask), (n, d)).copy()
     if variant == "FULL_TA":
-        return _attend_full_batch(state.lt_kv, cand_emb, params.long_attn)
-    # rows are gathered in selection order, not sorted by position as in
-    # the sample path, so sums may differ from it in the last bit;
-    # with out=, mode='raise' would make numpy buffer the result, and the
-    # indices come from the selectors, in range or -1, which reads row 0
-    # and is masked out
-    emb, k = state.lt.emb, sel.shape[1]
-    rows = np.take(emb, sel.ravel(), axis=0, mode="clip",
-                   out=scratch_buf("attend.rows", (n * k, d), emb.dtype)).reshape(n, k, d)
-    return masked_attention(cand_emb, rows, sel >= 0, params.long_attn)[0]
+        if shared:
+            return _attend_full_batch(state.lt_kv, cand_emb, params.long_attn)
+        rep, state.long_cache = masked_attention(cand_emb, lt.emb, lt.mask, params.long_attn)
+        return rep
+    sel = np.sort(sel, axis=1)
+    if shared:
+        # with out=, mode='raise' would make numpy buffer the result, and
+        # the indices come from the selectors, in range or -1, which reads
+        # row 0 and is masked out
+        k = sel.shape[1]
+        rows = np.take(lt.emb, sel.ravel(), axis=0, mode="clip",
+                       out=scratch_buf("attend.rows", (n * k, d), lt.emb.dtype)).reshape(n, k, d)
+    else:
+        rows = np.take_along_axis(lt.emb, sel[..., None], axis=1)  # -1 reads a masked row
+    state.long_pos = sel
+    rep, state.long_cache = masked_attention(cand_emb, rows, sel >= 0, params.long_attn)
+    return rep
 
 
 def finish_stage(state: RequestState, cand_emb: np.ndarray, long_rep: np.ndarray,
                  params: ModelParams, config: ModelConfig) -> np.ndarray:
     """Short-window representation, MLP, sigmoid; returns probabilities.
 
-    The first MLP layer is applied block by block, so the user and
-    context rows (and a pooled short window) are multiplied once per
-    request rather than once per candidate."""
+    The first MLP layer is applied block by block, so a shared window's
+    user and context rows (and pooled short window) are multiplied once
+    per request rather than once per candidate.  A non-finite logit is a
+    NumericError naming the first stage that produced a non-finite value."""
     d = cand_emb.shape[1]
+    st = state.st
     if config.variant == "POOLING":
-        short_rep = _masked_mean(state.st.emb, state.st.mask)
+        short_rep, state.short_cache = _masked_mean(st.emb, st.mask), None
     else:
-        short_rep = masked_attention(cand_emb, state.st.emb, state.st.mask, params.short_attn)[0]
+        short_rep, state.short_cache = masked_attention(cand_emb, st.emb, st.mask,
+                                                        params.short_attn)
+    state.inputs = (state.user_vec, state.ctx_vec, cand_emb, short_rep, long_rep)
     w0 = params.mlp_w[0]  # input blocks: user, context, candidate, short, long
     shared = state.user_vec @ w0[:d] + state.ctx_vec @ w0[d : 2 * d] + params.mlp_b[0]
     a = cand_emb @ w0[2 * d : 3 * d] + short_rep @ w0[3 * d : 4 * d] + long_rep @ w0[4 * d :]
     a += shared
+    state.pres, state.acts = [], []
     for w, b in zip(params.mlp_w[1:], params.mlp_b[1:]):
-        a = _leaky(a) @ w + b
-    return np.clip(_sigmoid(a[:, 0]), _PROB_EPS, 1.0 - _PROB_EPS)
+        state.pres.append(a)
+        a = _leaky(a)
+        state.acts.append(a)
+        a = a @ w + b
+    state.z = a[:, 0]
+    if not np.isfinite(state.z).all():
+        stages = [("embeddings", (state.user_vec, state.ctx_vec, cand_emb)),
+                  ("short_sequence", (st.emb,)), ("long_sequence", (state.lt.emb,)),
+                  ("mlp_input", (short_rep, long_rep))]
+        for name, arrays in stages + [(f"mlp_hidden_{i}", (h,)) for i, h in enumerate(state.acts)]:
+            if not all(np.isfinite(x).all() for x in arrays):
+                raise NumericError(f"non-finite value first seen at stage {name!r}")
+        raise NumericError("non-finite logit")
+    return np.clip(_sigmoid(state.z), _PROB_EPS, 1.0 - _PROB_EPS)
 
 
 def predict_request(request: Request, candidates, params: ModelParams, config: ModelConfig,

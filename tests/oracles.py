@@ -10,9 +10,8 @@ from dataclasses import fields
 
 import numpy as np
 
-from hashta import model
 from hashta.data import SECONDS_PER_DAY
-from hashta.fingerprint import FingerprintTable, _check_comparable
+from hashta.fingerprint import _check_comparable, fingerprint_batch
 from hashta.model import Request
 from hashta.retrieval import angular_top_k_batch, category_hard_search_batch, hamming_top_k_batch
 
@@ -83,24 +82,25 @@ def with_specials(rng, shape, dtype):
 def per_sample_selections(samples, params, config, item_fps=None) -> list:
     """(positions best first, scores) for each sample: one shared-key
     selector call per sample, a one-row query against the sample's own
-    unpadded window, with the batch's fingerprints."""
-    b = model._embed_batch(samples, params, config)
-    lt, k = b.lt, config.k
-    if config.variant == "ETA":
-        queries, keys = model._batch_fingerprints(b, params, config, item_fps)
+    unpadded window.  ETA's bits hash the item + category sums, or are
+    read from item_fps by item id."""
     out = []
-    for i, s in enumerate(samples):
-        n = len(s.long_seq)
-        mask = lt.mask[i, :n]
+    for s in samples:
+        rows = np.asarray(s.long_seq, dtype=np.int64).reshape(-1, 3)
+        items, cats, mask = rows[:, 0], rows[:, 1], rows[:, 0] != 0
+        target = params.item_emb[[s.target_item]] + params.cat_emb[[s.target_category]]
+        keys = params.item_emb[items] + params.cat_emb[cats]
         if config.variant == "ETA":
-            idx, score = hamming_top_k_batch(
-                FingerprintTable(queries.words[i : i + 1], queries.rounds, queries.bits_per_round),
-                FingerprintTable(keys.words[i, :n], keys.rounds, keys.bits_per_round), mask, k)
+            if item_fps is None:
+                queries, key_bits = (fingerprint_batch(x, params.family) for x in (target, keys))
+            else:
+                queries, key_bits = item_fps.take([s.target_item]), item_fps.take(items)
+            idx, score = hamming_top_k_batch(queries, key_bits, mask, config.k)
         elif config.variant == "SIM_HARD":
-            idx, score = category_hard_search_batch(b.t_cats[i : i + 1], lt.cats[i, :n], mask, k)
+            idx, score = category_hard_search_batch([s.target_category], cats, mask, config.k)
             score = score.astype(np.float64)
         else:
-            idx, score = angular_top_k_batch(b.target[i : i + 1], lt.base[i, :n], mask, k)
+            idx, score = angular_top_k_batch(target, keys, mask, config.k)
         out.append((idx[0], score[0]))
     return out
 

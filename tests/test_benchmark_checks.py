@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hashta import data as D
 from hashta import model as M
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -75,3 +76,32 @@ def test_traced_eta_request_counts_its_hamming_top_k():
     assert counts["calls"] == 1
     assert "uncounted" not in counts
     assert (counts["keys_scanned"], counts["kept"], counts["valid"]) == (2 * 6, 2 * 3, 2 * 5)
+
+
+@pytest.mark.parametrize("variant", ["ETA", "FULL_TA"])
+def test_traced_attention_stage_is_counted_in_serving_and_training(variant):
+    # attention.keys_attended is read from attention_stage's arguments (the
+    # selection, or the state's long-window mask); training runs the same
+    # stage over per-target windows and opens train-phase spans of it
+    spans = import_spans()
+    config = M.ModelConfig(d=4, l_st=2, l_lt=6, k=3, n_heads=2, m=8, n_rounds=2, variant=variant,
+                           mlp_widths=(4,), n_items=10, n_categories=3, n_users=2, epochs=0)
+    params = M.init_params(config)
+    window = np.array([[item, 1 + item % 3, 1000 + item] for item in range(1, 7)])
+    window[2] = 0  # one padding row
+    request = M.Request(1, 1, 2000, window[-2:], window)
+    sample = D.Sample(1, 4, 2, 1, 2000, 1, window[-2:], window)
+    tracer = spans.Tracer()
+    with spans.Hooks(tracer):
+        tracer.phase = "serve"
+        M.predict_request(request, [(1, 2), (4, 2)], params, config)
+        tracer.phase = "train"
+        M.loss_and_gradients([sample, sample], params, config)
+    summary = tracer.summary()
+    serve = summary[("serve", "model.attention_stage")]
+    assert "uncounted" not in serve
+    per_candidate = {"ETA": 3, "FULL_TA": 5}[variant]  # k, or the window's valid rows
+    assert (serve["calls"], serve["candidates"], serve["keys_attended"]) == (1, 2, 2 * per_candidate)
+    train = summary[("train", "model.attention_stage")]
+    assert "uncounted" not in train
+    assert (train["calls"], train["candidates"]) == (1, 2)

@@ -223,6 +223,12 @@ def test_fingerprints_refused_on_recategorized_rows(workdir, tmp_path, capsys):
         err = capsys.readouterr().err
         assert "1 rows of the log list an item under a category other than its first-seen" in err
         assert "table scoring would not match live hashing" in err
+    # precompute refuses the log too, rather than write a table eval and retrieve refuse
+    refused = tmp_path / "refused.etaf"
+    assert main(["precompute", "--checkpoint", str(workdir["ckpt"]), "--data", str(log),
+                 "--out", str(refused)]) == 1
+    assert "table scoring would not match live hashing" in capsys.readouterr().err
+    assert not refused.exists()
     code, payload = run_json(capsys, ["eval", *common])
     assert code == 0
     assert payload["log"]["n_recategorized"] == 1

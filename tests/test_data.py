@@ -620,6 +620,31 @@ def test_recategorized_rows_are_counted(tmp_path):
     assert log.item_category == {1: 1, 2: 1}
 
 
+def test_behavior_kinds_are_held_as_int8_codes(tmp_path):
+    # names are made only when a user's events are listed
+    path = tmp_path / "log.csv"
+    path.write_text("1,10,3,pv,100\n1,11,3,buy,200\n2,10,3,cart,150\n2,12,3,fav,160\n")
+    loaded = load_behavior_log(path)
+    rebuilt = data.log_from_events([e for u in loaded.events_by_user
+                                    for e in loaded.events_by_user[u]])
+    for log in (loaded, rebuilt):
+        events = log.events_by_user
+        assert events.behavior.dtype == np.int8
+        assert [e.behavior_type for u in events for e in events[u]] == [
+            "click", "purchase", "cart", "favorite"]
+
+
+def test_item_categories_refuse_a_recategorized_log(tmp_path):
+    # the array fingerprint tables are built and verified from; a log that
+    # moves an item to another category has no one category per item
+    path = tmp_path / "log.csv"
+    path.write_text("1,10,3,pv,100\n1,11,4,pv,200\n2,10,3,pv,150\n")
+    assert load_behavior_log(path).item_categories().tolist() == [0, 1, 2]
+    path.write_text("1,10,3,pv,100\n1,11,3,pv,200\n2,10,4,pv,150\n")
+    with pytest.raises(FormatError, match="^1 rows of the log list an item under a category other"):
+        load_behavior_log(path).item_categories()
+
+
 def test_byte_order_mark_does_not_drop_the_first_row(tmp_path):
     # spreadsheet exports start the file with a UTF-8 byte-order mark
     events, _ = generate_synthetic(SyntheticSpec(n_users=1, n_items=50, n_categories=5,

@@ -338,8 +338,8 @@ def test_batch_selection_equals_per_sample_selector_calls(variant, m, table):
     item_fps = None
     if table:
         item_fps = fingerprint_items(params, config, [0] + [cat_of(i) for i in range(1, 31)])
-    idx, scores = model._select(model._embed_batch(batch, params, config), params, config,
-                                item_fps)
+    state, ids, targets = model._sample_state(batch, params, config, item_fps)
+    idx, scores = model._retrieve(state, ids[:, 2], targets, ids[:, 3], params, config)
     want = per_sample_selections(batch, params, config, item_fps)
     assert idx.shape == scores.shape == (len(batch), config.k)
     for row, (want_idx, want_scores) in enumerate(want):
@@ -932,6 +932,53 @@ def test_stage_composition_equals_predict_request():
     long_rep = attention_stage(state, emb, sel, params, config)
     probs = finish_stage(state, emb, long_rep, params, config)
     np.testing.assert_array_equal(probs, predict_request(request_from_sample(base), cands, params, config))
+
+
+@pytest.mark.parametrize("table", [False, True])
+@pytest.mark.parametrize("variant", model.VARIANTS)
+def test_per_target_and_shared_windows_agree_through_the_stages(variant, table, tmp_path):
+    # one request's window shared by every candidate, and B copies of it as
+    # a sample batch, one per candidate: the same stages select the same
+    # rows, and score within 1e-6 (the weights' float32 against float64)
+    config = tiny_config(variant=variant, use_time_buckets=True)
+    params, _ = loaded_and_widened(config, tmp_path)
+    item_fps = None
+    if table:
+        item_fps = fingerprint_items(params, config, [0] + [cat_of(i) for i in range(1, 31)])
+    rng = np.random.default_rng(44)
+    base = mk_sample(rng, n_long=7, n_pad_long=1)
+    cands = [(int(i), cat_of(int(i))) for i in rng.integers(1, 31, size=9)]
+    items, cats, emb = candidate_embeddings(cands, params, config)
+    shared = prepare_request(request_from_sample(base), params, config, item_fps)
+    samples = [replace(base, target_item=it, target_category=ct) for it, ct in cands]
+    per_target, ids, targets = model._sample_state(samples, params, config, item_fps)
+    assert ids[:, 2].tolist() == items.tolist() and ids[:, 3].tolist() == cats.tolist()
+    sels, probs = [], []
+    for state, cand_emb in ((shared, emb), (per_target, targets)):
+        sels.append(retrieval_stage(state, items, cand_emb, cats, params, config))
+        long_rep = attention_stage(state, cand_emb, sels[-1], params, config)
+        probs.append(finish_stage(state, cand_emb, long_rep, params, config))
+    if variant in model.SELECTING_VARIANTS:
+        np.testing.assert_array_equal(sels[0], sels[1])
+    else:
+        assert sels == [None, None]
+    np.testing.assert_allclose(probs[0], probs[1], rtol=0, atol=1e-6)
+
+
+@pytest.mark.parametrize("variant", model.VARIANTS)
+def test_a_non_finite_request_logit_is_refused_naming_its_stage(variant):
+    # as per-sample forward does, request scoring raises rather than
+    # return NaN scores
+    config = tiny_config(variant=variant)
+    request = request_from_sample(mk_sample(np.random.default_rng(45)))
+    for stage in ("embeddings", "mlp_hidden_0"):
+        params = init_params(config)
+        if stage == "embeddings":
+            params.user_emb[request.user_id] = np.nan
+        else:
+            params.mlp_w[0][:, 0] = np.nan
+        with pytest.raises(NumericError, match=f"at stage '{stage}'$"):
+            predict_request(request, [(1, 1), (7, 2)], params, config)
 
 
 def test_candidate_embeddings_validate_ids():
