@@ -452,10 +452,11 @@ class Sample:
     """One scoring instance: a candidate item against a user state.
 
     A window is an (n, 3) integer array of (item, category, ts) rows, oldest
-    first, or a sequence of such row tuples.  build_samples stores read-only
-    int64 arrays (object only for values beyond int64) and gives a
-    positive and its negatives the same arrays.  Samples compare and hash
-    by identity."""
+    first, or a sequence of such row tuples of integers; scoring refuses a
+    float or a value past int64 in either form with a ValueError.
+    build_samples stores read-only int64 arrays (object only for values
+    beyond int64) and gives a positive and its negatives the same arrays.
+    Samples compare and hash by identity."""
 
     user_id: int
     target_item: int

@@ -82,7 +82,6 @@ import numpy as np
 
 from .attention import MHTAParams, masked_attention, masked_attention_backward
 from .data import Sample, SECONDS_PER_DAY
-from ._scratch import scratch_buf
 from .errors import FormatError, NumericError
 from .fingerprint import FingerprintTable, HashFamily, fingerprint_batch, new_hash_family
 from .retrieval import TopKResult, angular_top_k_batch, category_hard_search_batch, hamming_top_k_batch
@@ -308,25 +307,36 @@ def _check_user_state(record, config: ModelConfig) -> None:
     _check_int("timestamp", record.timestamp)
 
 
+def _int_rows(rows, width: int, subject: str) -> np.ndarray:
+    """A sequence of width-value rows as (n, width) int64 (read-only).
+
+    struct's "q" reads each value through __index__, so a float is
+    refused, where int64 arrays would truncate it, and so is a value past
+    int64; either is a ValueError whose message starts with subject.  Rows
+    that are not width-tuples change the count and fail the reshape."""
+    flat = tuple(chain.from_iterable(rows))
+    try:
+        packed = struct.pack(f"{len(flat)}q", *flat)
+    except struct.error:
+        for v in flat:
+            try:
+                operator.index(v)
+            except TypeError:
+                raise ValueError(f"{subject} a value that is not an integer") from None
+        raise ValueError(f"{subject} a value that does not fit in int64") from None
+    return np.frombuffer(packed, np.int64).reshape(len(rows), width)
+
+
 def _window_rows(seq, name: str) -> np.ndarray:
     """A window as (n, 3) int64 (item, category, ts) rows: an (n, 3)
-    integer array as it is, or a sequence of such row tuples read into
-    int64."""
+    integer array as it is, or a sequence of such row tuples of integers
+    read into int64."""
     if isinstance(seq, np.ndarray) and seq.dtype != object:
         integer = seq.dtype.kind in "iu" and np.can_cast(seq.dtype, np.int64)
         if seq.ndim != 2 or seq.shape[1] != 3 or not integer:
             raise ValueError(f"{name} array must be (n, 3) integers, got {seq.dtype} {seq.shape}")
         return seq.astype(np.int64, copy=False)
-    # tuple rows, and object arrays (ids past int64, refused by fromiter)
-    if len(seq) == 0:
-        return np.empty((0, 3), dtype=np.int64)
-    # fromiter over the flattened rows is about twice as fast as asarray on
-    # a tuple of tuples; rows that are not (item, cat, ts) triples change
-    # the count and fail the reshape
-    try:
-        return np.fromiter(chain.from_iterable(seq), dtype=np.int64).reshape(len(seq), 3)
-    except OverflowError:
-        raise ValueError(f"{name} holds a value that does not fit in int64") from None
+    return _int_rows(seq, 3, f"{name} holds")  # tuple rows, and object arrays past int64
 
 
 def _time_buckets(ts: np.ndarray, now) -> np.ndarray:
@@ -740,9 +750,10 @@ class Request:
 
     Windows take the same forms as a Sample's: an (n, 3) integer array of
     (item, category, ts) rows, whose columns are read as they are, or a
-    sequence of such row tuples, read into int64.  A float array or one of
-    any other shape is refused with a ValueError.  Requests compare and
-    hash by identity."""
+    sequence of such row tuples of integers, read into int64.  A float
+    array, a float or a value past int64 in a tuple row, and a window of any
+    other shape are refused with a ValueError, as is a float id among the
+    candidates.  Requests compare and hash by identity."""
 
     user_id: int
     context_bucket: int
@@ -824,12 +835,7 @@ def prepare_request(request: Request, params: ModelParams, config: ModelConfig,
 def candidate_embeddings(candidates, params: ModelParams, config: ModelConfig):
     """(items, categories, base embeddings) for a list of (item, category)."""
     n = len(candidates)
-    # as in _window_rows: rows that are not pairs change the count and fail the reshape
-    try:
-        arr = np.fromiter(chain.from_iterable(candidates), dtype=np.int64).reshape(n, 2)
-    except OverflowError:
-        raise ValueError("candidates hold a value that does not fit in int64") from None
-    items, cats = arr[:, 0], arr[:, 1]
+    items, cats = _int_rows(candidates, 2, "candidates hold").T
     if n and (items.min() < 1 or items.max() > config.n_items):
         raise ValueError(f"candidate item id outside [1, {config.n_items}]")
     if n and (cats.min() < 1 or cats.max() > config.n_categories):
@@ -876,14 +882,15 @@ def _attend_full_batch(kv, cand_q: np.ndarray, attn: MHTAParams):
     """Full attention over the U distinct rows of lt_kv: row u stands
     for c_u positions sharing its logit and value, so sum_p e^l_p v_p /
     sum_p e^l_p = sum_u e^l_u (c_u v_u) / sum_u e^l_u c_u.  Each head's (n, U)
-    logits reuse one per-thread scratch block and are exponentiated in
-    place; the (n, d_head) weighted sums are normalised, not the weights."""
+    logits are written into one block, allocated per call and shared by the
+    heads, and exponentiated in place; the (n, d_head) weighted sums are
+    normalised, not the weights."""
     n, d_h = cand_q.shape[0], attn.d_head
     if kv is None:
         return np.zeros((n, attn.wo.shape[1]), cand_q.dtype)
     ks, vs, counts = kv
     qs = np.matmul(cand_q, attn.alpha * attn.wq)  # (n_heads, n, d_head), alpha folded in
-    logits = scratch_buf("attend.full", (n, counts.shape[0]), ks.dtype)
+    logits = np.empty((n, counts.shape[0]), ks.dtype)
     heads = np.empty((n, attn.n_heads * d_h), ks.dtype)
     for h in range(attn.n_heads):
         np.matmul(qs[h], ks[h].T, out=logits)
@@ -918,12 +925,7 @@ def attention_stage(state: RequestState, cand_emb: np.ndarray, sel: Optional[np.
         return rep
     sel = np.sort(sel, axis=1)
     if shared:
-        # with out=, mode='raise' would make numpy buffer the result, and
-        # the indices come from the selectors, in range or -1, which reads
-        # row 0 and is masked out
-        k = sel.shape[1]
-        rows = np.take(lt.emb, sel.ravel(), axis=0, mode="clip",
-                       out=scratch_buf("attend.rows", (n * k, d), lt.emb.dtype)).reshape(n, k, d)
+        rows = np.take(lt.emb, sel, axis=0)  # -1 reads the last row, masked out
     else:
         rows = np.take_along_axis(lt.emb, sel[..., None], axis=1)  # -1 reads a masked row
     state.long_pos = sel

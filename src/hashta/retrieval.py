@@ -31,11 +31,13 @@ never materializes a full sort.  Every pass reads contiguous,
 cache-resident operands:
 
 - Row blocks sized for L2.  Query rows are processed in blocks whose
-  XOR, popcount and composite buffers together hold about 64k elements
+  XOR, popcount and composite arrays together hold about 64k elements
   (about 850 KB, inside the 2 MiB per-core L2 of the x86_64 hosts this
   was measured on).  Each block's rows are partitioned whole and only
   their k winners are kept, so one small (n, k) sort finishes the job.
   One pass over a (128 x 2048) matrix would spill L2 between passes.
+  The arrays are allocated per block and kept by no call, so concurrent
+  selectors share nothing.
 - Contiguous XOR operands.  The block's query column is tiled into the
   XOR buffer first, and the key row is XORed into it.  NumPy's uint64
   XOR costs about 1.0 ns per element with the query broadcast as a
@@ -62,24 +64,16 @@ zero-norm query gets cosine 0 everywhere, so its row is pure recency.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._scratch import scratch_buf
 from .fingerprint import FingerprintTable, _check_comparable
 
 # Keys per row block of every selector: hamming_top_k_batch's XOR,
-# popcount and key buffers then total about 850 KB, inside the 2 MiB
+# popcount and key arrays then total about 850 KB, inside the 2 MiB
 # per-core L2 measured on the x86_64 serving host (see the module docstring).
 _BLOCK_ELEMENTS = 1 << 16
-
-_local = threading.local()
-
-
-def _scratch_buf(tag: str, shape, dtype) -> np.ndarray:
-    return scratch_buf("retrieval." + tag, shape, dtype)
 
 
 @dataclass(frozen=True)
@@ -89,20 +83,6 @@ class TopKResult:
     indices: np.ndarray  # int64, positions into the original sequence
     scores: np.ndarray  # distance / similarity / match flag, aligned with indices
     n_valid: int
-
-
-def _recency_keys(length: int, dtype) -> np.ndarray:
-    """length-1 .. 0, a read-only slice of one grow-only descending array
-    per (thread, dtype)."""
-    store = getattr(_local, "recency", None)
-    if store is None:
-        store = _local.recency = {}
-    key = np.dtype(dtype).str
-    rev = store.get(key)
-    if rev is None or rev.shape[0] < length:
-        rev = store[key] = np.arange(length - 1, -1, -1, dtype=dtype)
-        rev.flags.writeable = False
-    return rev[rev.shape[0] - length :]
 
 
 def _low_keys(valid_mask, key_shape: tuple, n: int, k: int, dtype):
@@ -122,7 +102,7 @@ def _low_keys(valid_mask, key_shape: tuple, n: int, k: int, dtype):
     mask = np.asarray(valid_mask, dtype=bool)
     if mask.shape != key_shape:
         raise ValueError(f"valid_mask shape {mask.shape} does not match keys {key_shape}")
-    low = _recency_keys(key_shape[-1], dtype)
+    low = np.arange(key_shape[-1] - 1, -1, -1, dtype=dtype)
     if mask.ndim == 1:
         n_valid = int(np.count_nonzero(mask))
         if n_valid < mask.shape[0]:
@@ -163,15 +143,15 @@ def _top_k(n: int, length: int, k_eff: int, short: bool, shift: int, dtype, bloc
 
 def _distance_keys(q: np.ndarray, kt: np.ndarray, shift: int, ctype) -> np.ndarray:
     """distance << shift for one block of query rows against their keys,
-    (n_block, length), in per-thread scratch.  kt[w] is word w of the
-    shared keys (length,) or of each row's own keys (n_block, length).
+    (n_block, length), in fresh arrays.  kt[w] is word w of the shared keys
+    (length,) or of each row's own keys (n_block, length).
 
     Each word's query column is tiled into the XOR buffer before the key
     row is XORed in, so the XOR reads two contiguous operands."""
     shape = (q.shape[0], kt.shape[-1])
-    buf = _scratch_buf("xor", shape, np.uint64)
-    pc = _scratch_buf("popcount", shape, np.uint8)
-    composite = _scratch_buf("composite", shape, ctype)
+    buf = np.empty(shape, np.uint64)
+    pc = np.empty(shape, np.uint8)
+    composite = np.empty(shape, ctype)
     np.copyto(buf, q[:, 0, None])
     np.bitwise_xor(buf, kt[0], out=buf)
     np.bitwise_count(buf, out=pc)
@@ -212,11 +192,10 @@ def hamming_top_k_batch(queries: FingerprintTable, keys: FingerprintTable, valid
     return _top_k(n, length, k_eff, short, shift, ctype, block_keys)
 
 
-def _sortable(bits: np.ndarray, sign=None) -> np.ndarray:
+def _sortable(bits: np.ndarray) -> np.ndarray:
     """In place: float32 bit patterns (as int32) to ints that order as the
-    floats do, -inf lowest; the map is its own inverse.  sign, if given,
-    is an int32 work array of the same shape."""
-    sign = np.right_shift(bits, 31, out=sign)
+    floats do, -inf lowest; the map is its own inverse."""
+    sign = np.right_shift(bits, 31)
     sign &= 0x7FFFFFFF
     bits ^= sign
     return bits
@@ -260,21 +239,16 @@ def angular_top_k_batch(queries, keys, valid_mask, k: int):
 
     def block_keys(rows):
         uq = unit_q[rows]
-        shape = (uq.shape[0], length)
-        cos = _scratch_buf("cosine", shape, np.float64)
         if per_query:
-            np.matmul(unit_keys[rows], uq[:, :, None], out=cos[:, :, None])
+            cos = np.matmul(unit_keys[rows], uq[:, :, None])[:, :, 0]
         else:
-            np.matmul(uq, unit_keys.T, out=cos)
+            cos = uq @ unit_keys.T
         if has_zero_keys:
             zero = zero_keys[rows] if per_query else zero_keys
             cos[zero & (q_norms[rows] > 0.0)[:, None]] = -np.inf
-        rounded = _scratch_buf("cosine32", shape, np.float32)
-        np.copyto(rounded, cos, casting="same_kind")
+        rounded = cos.astype(np.float32)
         rounded += 0.0  # -0.0 to +0.0, so equal cosines share one key
-        key = _scratch_buf("angular", shape, np.int64)
-        np.subtract(_COSINE_TOP, _sortable(rounded.view(np.int32),
-                                           _scratch_buf("sign", shape, np.int32)), out=key)
+        key = _COSINE_TOP - _sortable(rounded.view(np.int32))
         key <<= shift
         key |= low[rows] if per_query else low
         return key

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hashta import _scratch, model, retrieval
+from hashta import model, retrieval
 from hashta.data import SECONDS_PER_DAY, Sample
 from hashta.errors import FormatError, NumericError
 from hashta.fingerprint import fingerprint_batch
@@ -134,6 +134,13 @@ def test_forward_validates_inputs():
                          ("timestamp", BASE_TS + 0.5)):
         with pytest.raises(ValueError, match=rf"^{field}=.* is not an integer$"):
             forward(replace(good, **{field: value}), params, config)
+    # so is one in a tuple window row, which reaches the id matrix through _padded
+    for field, value in (("long_seq", ((2.7, 1, BASE_TS),) + good.long_seq),
+                         ("short_seq", good.short_seq[:-1] + ((1, np.float64(1.0), BASE_TS),))):
+        with pytest.raises(ValueError, match=rf"^{field} holds a value that is not an integer$"):
+            forward(replace(good, **{field: value}), params, config)
+        with pytest.raises(ValueError, match=rf"^{field} holds a value that is not an integer$"):
+            loss_and_gradients([good, replace(good, **{field: value})], params, config)
     # an integer past int64 is refused, not left to overflow the id matrix
     for field, value in (("timestamp", 2**70), ("timestamp", -(2**63) - 1), ("timestamp", 2**63),
                          ("user_id", 2**64), ("timestamp", np.uint64(2**64 - 1))):
@@ -164,6 +171,15 @@ def test_predict_request_refuses_non_integer_ids():
                          ("timestamp", BASE_TS + 0.5)):
         with pytest.raises(ValueError, match=rf"^{field}=.* is not an integer$"):
             predict_request(replace(req, **{field: value}), cands, params, config)
+    # a float id in a tuple window row or a candidate pair is refused, not
+    # read as item 2
+    for field, value in (("long_seq", req.long_seq[:-1] + ((2.7, 1, 50),)),
+                         ("short_seq", ((1, np.float32(1.0), BASE_TS),) + req.short_seq[1:])):
+        with pytest.raises(ValueError, match=rf"^{field} holds a value that is not an integer$"):
+            predict_request(replace(req, **{field: value}), cands, params, config)
+    for bad in ([(2.7, 1)], [(1, 1), (2, np.float64(2.0))]):
+        with pytest.raises(ValueError, match="^candidates hold a value that is not an integer$"):
+            predict_request(req, bad, params, config)
     np.testing.assert_array_equal(
         predict_request(replace(req, user_id=np.uint8(2)), cands, params, config),
         predict_request(replace(req, user_id=2), cands, params, config))
@@ -875,49 +891,59 @@ def test_retrieval_stage_rows_match_single_selection():
             assert sel[row].tolist() == single.indices.tolist(), (variant, extra)
 
 
-@pytest.mark.parametrize("variant,largest", [
-    ("ETA", ("retrieval.composite", np.dtype(np.int32).str)),
-    ("FULL_TA", ("attend.full", np.dtype(np.float64).str)),
-], ids=["ETA", "FULL_TA"])
-def test_scratch_is_bounded_by_the_largest_request(variant, largest):
-    config = tiny_config(variant=variant, l_lt=600, n_items=600)
+def long_scoring_case(variant, lengths, seed):
+    """(config, params, item_fps or None, candidates, requests): ETA with a
+    fingerprint table, or FULL_TA, on histories of the given lengths whose
+    row blocks and distinct-row logits span megabytes."""
+    n_items = 2048
+    config = tiny_config(variant=variant, d=8, k=32, l_lt=max(lengths), n_items=n_items)
     params = init_params(config)
-    rng = np.random.default_rng(34)
-    cands = [(int(i), cat_of(int(i))) for i in rng.integers(1, 31, size=7)]
-    lengths = rng.permutation(np.arange(200, 600, 7))  # 58 distinct lengths
-    # 58 distinct behaviour counts too, the largest not on the longest request
-    uniques = dict(zip(lengths, rng.permutation(np.arange(20, 194, 3))))
+    item_fps = None
+    if variant == "ETA":
+        item_fps = fingerprint_items(params, config, [0] + [cat_of(i) for i in range(1, n_items + 1)])
+    rng = np.random.default_rng(seed)
+    cands = [(int(i), cat_of(int(i))) for i in rng.integers(1, n_items + 1, size=128)]
 
     def history(n):
-        pool = rng.choice(config.n_items, size=uniques[n], replace=False) + 1
-        items = rng.permutation(np.concatenate([pool, rng.choice(pool, size=n - pool.size)]))
-        return tuple((int(i), cat_of(int(i)), BASE_TS - (24 + j) * 3600) for j, i in enumerate(items))
+        return tuple((int(i), cat_of(int(i)), BASE_TS - (24 + j) * 3600)
+                     for j, i in enumerate(rng.integers(1, n_items + 1, size=n)))
 
-    requests = {n: request_from_sample(Sample(**{**mk_sample(rng).__dict__, "long_seq": history(n)}))
-                for n in lengths}
+    requests = [request_from_sample(replace(mk_sample(rng), long_seq=history(n))) for n in lengths]
+    return config, params, item_fps, cands, requests
 
-    def workspace(lens):
-        # scratch is per thread, so each run starts from an empty one
-        def work():
-            for n in lens:
-                predict_request(requests[n], cands, params, config)
-            sizes = {key: buf.size for key, buf in _scratch._local.bufs.items()}
-            recency = getattr(retrieval._local, "recency", {})
-            sizes.update({("recency", key): rev.size for key, rev in recency.items()})
-            return sizes
 
+@pytest.mark.parametrize("variant", ["ETA", "FULL_TA"])
+def test_a_scored_request_keeps_no_memory(variant):
+    config, params, item_fps, cands, (request,) = long_scoring_case(variant, [2048], 35)
+    predict_request(request, cands, params, config, item_fps)  # first-call imports and caches
+
+    def first_call_in_a_fresh_thread():
+        before = tracemalloc.get_traced_memory()[0]
+        predict_request(request, cands, params, config, item_fps)
+        return tracemalloc.get_traced_memory()[0] - before
+
+    tracemalloc.start()
+    try:
         with ThreadPoolExecutor(max_workers=1) as pool:
-            return pool.submit(work).result()
+            kept = pool.submit(first_call_in_a_fresh_thread).result()
+    finally:
+        tracemalloc.stop()
+    assert abs(kept) < 64 * 1024, kept
 
-    many = workspace(lengths)
-    tags = [tag for tag, _ in many]
-    assert len(tags) == len(set(tags))
-    # ETA's key block spans the history; FULL_TA's logits span its distinct behaviours
-    most_distinct = max(uniques, key=uniques.get)
-    assert most_distinct != lengths.max()
-    biggest = {"ETA": lengths.max(), "FULL_TA": most_distinct}[variant]
-    assert many[largest] == len(cands) * {"ETA": lengths.max(), "FULL_TA": max(uniques.values())}[variant]
-    assert many == workspace([biggest])
+
+@pytest.mark.parametrize("variant", ["ETA", "FULL_TA"])
+def test_concurrent_scorers_are_independent(variant):
+    lengths = [2048, 300, 1500, 40, 1999, 700, 1024, 5]
+    config, params, item_fps, cands, requests = long_scoring_case(variant, lengths, 36)
+
+    def score(request):
+        return predict_request(request, cands, params, config, item_fps)
+
+    serial = [score(r) for r in requests]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        concurrent = list(pool.map(score, requests))
+    for got, want in zip(concurrent, serial):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_stage_composition_equals_predict_request():

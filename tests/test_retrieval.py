@@ -186,7 +186,7 @@ def test_word_counts_are_checked_before_any_distance(rounds, m, query_words, key
 def test_batch_rows_equal_single_queries(seed, length, k, n_queries, data):
     # a single query is a one-row batch, so rows are checked against the
     # exhaustive sort; a longer then a shorter length after the first
-    # call: per-thread scratch is grown, then reused through a smaller view.
+    # call show that no call depends on the lengths an earlier one saw.
     # With one key set per query each row also equals a one-row call on
     # its own keys, and rows short of k valid keys end in -1
     longer = data.draw(st.integers(length + 1, length + 600), label="longer")
