@@ -24,10 +24,11 @@ known behavior token and a positive timestamp.  Every other line is
 stripped and parsed on its own with ``int()``, which keeps what that
 accepts (padding whitespace, signs, ``_`` separators, non-ASCII digits,
 ids beyond int64) and counts the rest as blank or malformed exactly as a
-per-line reader would; the 1% rule and its first bad line are applied
-once, over the whole file.  The log is held as columns sorted by (user,
-timestamp), ties in file order; a log whose rows already arrive in that
-order (each user's rows together and chronological, as
+per-line reader would; a timestamp outside 1 .. 2**63 - 1 is malformed
+on either path, so timestamps stay int64.  The 1% rule and its first bad
+line are applied once, over the whole file.  The log is held as columns
+sorted by (user, timestamp), ties in file order; a log whose rows already
+arrive in that order (each user's rows together and chronological, as
 ``generate_synthetic`` writes them) is recognised by one vectorised check
 and kept as it is, and any other goes through a stable sort.
 ``events_by_user`` maps each user to a list of events built on access.
@@ -181,7 +182,7 @@ def _parse_line(line: str):
     except ValueError:
         return None
     btype = BEHAVIOR_TOKENS.get(parts[3].strip())
-    if btype is None or ts <= 0:
+    if btype is None or not 0 < ts < 2**63:
         return None
     return user, item, cat, btype, ts
 
@@ -452,11 +453,11 @@ class Sample:
     """One scoring instance: a candidate item against a user state.
 
     A window is an (n, 3) integer array of (item, category, ts) rows, oldest
-    first, or a sequence of such row tuples of integers; scoring refuses a
-    float or a value past int64 in either form with a ValueError.
-    build_samples stores read-only int64 arrays (object only for values
-    beyond int64) and gives a positive and its negatives the same arrays.
-    Samples compare and hash by identity."""
+    first, read as it is, or any other sequence of such rows, read row by
+    row; scoring refuses another array dtype or shape, a wrong-width row, a
+    float and a value past int64, naming the window.  build_samples stores
+    read-only int64 arrays (object only past int64), the same for a
+    positive and its negatives.  Samples compare and hash by identity."""
 
     user_id: int
     target_item: int

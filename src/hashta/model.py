@@ -51,8 +51,8 @@ request scoring computes in the weights' dtype, so a served checkpoint
 runs in float32 from the embedding gathers to the last MLP layer.  The
 sigmoid and the probability clip stay float64: in float32, 1 - 1e-15
 rounds to 1.0 and a saturated score would leave (0, 1).  Both paths sum
-item and category embeddings in the weights' dtype, and hashing always
-projects in float64, so table and live bits come from the same sums.
+item and category embeddings in the weights' dtype (_item_vectors), and
+hashing projects in float64, so table and live bits share their sums.
 
 Parameters live in one 1-d buffer, ModelParams.flat, holding every
 trainable tensor back to back in the order _param_shapes gives (item,
@@ -75,7 +75,7 @@ import os
 import struct
 import time
 from dataclasses import asdict, dataclass
-from itertools import chain
+from itertools import starmap
 from typing import Optional
 
 import numpy as np
@@ -307,36 +307,46 @@ def _check_user_state(record, config: ModelConfig) -> None:
     _check_int("timestamp", record.timestamp)
 
 
-def _int_rows(rows, width: int, subject: str) -> np.ndarray:
-    """A sequence of width-value rows as (n, width) int64 (read-only).
-
-    struct's "q" reads each value through __index__, so a float is
-    refused, where int64 arrays would truncate it, and so is a value past
-    int64; either is a ValueError whose message starts with subject.  Rows
-    that are not width-tuples change the count and fail the reshape."""
-    flat = tuple(chain.from_iterable(rows))
+def _rows(seq, width: int, name: str) -> np.ndarray:
+    """A window's (item, category, ts) rows or a candidate list's pairs as
+    (n, width) int64: an integer array as it is, any other sequence packed
+    row by row by struct, which checks each row's width and reads values
+    through __index__, so a wrong-width row, a float (which int64 arrays
+    would truncate) and a value past int64 are ValueErrors naming the field."""
+    if isinstance(seq, np.ndarray) and seq.dtype != object:
+        integer = seq.dtype.kind in "iu" and np.can_cast(seq.dtype, np.int64)
+        if seq.ndim != 2 or seq.shape[1] != width or not integer:
+            raise ValueError(
+                f"{name} array must be (n, {width}) integers, got {seq.dtype} {seq.shape}")
+        return seq.astype(np.int64, copy=False)
     try:
-        packed = struct.pack(f"{len(flat)}q", *flat)
-    except struct.error:
-        for v in flat:
+        packed = b"".join(starmap(struct.Struct(f"{width}q").pack, seq))
+    except (struct.error, TypeError):
+        raise ValueError(_misread(seq, width, name)) from None
+    return np.frombuffer(packed, np.int64).reshape(-1, width)
+
+
+def _misread(seq, width: int, name: str) -> str:
+    """Why _rows could not pack seq."""
+    holds = f"{name} {'hold' if name == 'candidates' else 'holds'}"
+    for i, row in enumerate(seq):
+        if not hasattr(row, "__len__") or len(row) != width:
+            return f"{name} row {i} is not {width} values"
+        for v in row:
             try:
                 operator.index(v)
             except TypeError:
-                raise ValueError(f"{subject} a value that is not an integer") from None
-        raise ValueError(f"{subject} a value that does not fit in int64") from None
-    return np.frombuffer(packed, np.int64).reshape(len(rows), width)
+                return f"{holds} a value that is not an integer"
+    return f"{holds} a value that does not fit in int64"
 
 
-def _window_rows(seq, name: str) -> np.ndarray:
-    """A window as (n, 3) int64 (item, category, ts) rows: an (n, 3)
-    integer array as it is, or a sequence of such row tuples of integers
-    read into int64."""
-    if isinstance(seq, np.ndarray) and seq.dtype != object:
-        integer = seq.dtype.kind in "iu" and np.can_cast(seq.dtype, np.int64)
-        if seq.ndim != 2 or seq.shape[1] != 3 or not integer:
-            raise ValueError(f"{name} array must be (n, 3) integers, got {seq.dtype} {seq.shape}")
-        return seq.astype(np.int64, copy=False)
-    return _int_rows(seq, 3, f"{name} holds")  # tuple rows, and object arrays past int64
+def _item_vectors(items, cats, params: ModelParams) -> np.ndarray:
+    """Item + category embeddings in the weights' dtype: every behaviour
+    row, candidate and target, and what live key bits and tables hash."""
+    # np.take gathers rows faster than fancy indexing; summed in place
+    out = np.take(params.item_emb, items, axis=0)
+    out += np.take(params.cat_emb, cats, axis=0)
+    return out
 
 
 def _time_buckets(ts: np.ndarray, now) -> np.ndarray:
@@ -349,7 +359,7 @@ class _SeqData:
 
 
 def _embed_sequence(seq, now, params: ModelParams, config: ModelConfig, name: str) -> _SeqData:
-    return _embed_ids(*_window_rows(seq, name).T, now, params, config, name)
+    return _embed_ids(*_rows(seq, 3, name).T, now, params, config, name)
 
 
 def _embed_ids(items, cats, ts, now, params: ModelParams, config: ModelConfig,
@@ -363,10 +373,7 @@ def _embed_ids(items, cats, ts, now, params: ModelParams, config: ModelConfig,
     out = _SeqData()
     out.items, out.cats = items, cats
     out.mask = items != 0
-    # np.take gathers rows faster than fancy indexing; the ids are checked above
-    # (summed in place, so no third L x d array)
-    out.base = np.take(params.item_emb, items, axis=0)
-    out.base += np.take(params.cat_emb, cats, axis=0)
+    out.base = _item_vectors(items, cats, params)  # the ids are checked above
     if config.use_time_buckets:
         out.buckets = _time_buckets(ts, now)
         out.emb = out.base + params.time_emb[out.buckets]
@@ -388,13 +395,14 @@ def _masked_mean(emb: np.ndarray, mask: np.ndarray) -> np.ndarray:
 # sample batches: training, evaluation, forward and long_selection
 
 
-def _padded(windows, name: str) -> np.ndarray:
-    """(B, W, 3) int64 rows of every window, (0, 0, 0)-padded to the longest."""
-    rows = [_window_rows(w, name) for w in windows]
+def _padded(samples, name: str) -> np.ndarray:
+    """(3, B, W) int64 item, category and ts columns of every sample's
+    window `name`, (0, 0, 0)-padded to the longest."""
+    rows = [_rows(getattr(s, name), 3, name) for s in samples]
     out = np.zeros((len(rows), max((r.shape[0] for r in rows), default=0), 3), dtype=np.int64)
     for i, r in enumerate(rows):
         out[i, : r.shape[0]] = r
-    return out
+    return out.transpose(2, 0, 1)
 
 
 def _sample_state(samples, params: ModelParams, config: ModelConfig,
@@ -418,17 +426,14 @@ def _sample_state(samples, params: ModelParams, config: ModelConfig,
     state = RequestState()
     state.user_vec = np.take(params.user_emb, user_ids, axis=0).astype(np.float64, copy=False)
     state.ctx_vec = np.take(params.ctx_emb, ctx_ids, axis=0).astype(np.float64, copy=False)
-    short = _padded([s.short_seq for s in samples], "short_seq")
-    long = _padded([s.long_seq for s in samples], "long_seq")
-    state.st = _embed_ids(*short.transpose(2, 0, 1), now[:, None], params, config, "short_seq")
-    state.lt = _embed_ids(*long.transpose(2, 0, 1), now[:, None], params, config, "long_seq")
+    state.st = _embed_ids(*_padded(samples, "short_seq"), now[:, None], params, config, "short_seq")
+    state.lt = _embed_ids(*_padded(samples, "long_seq"), now[:, None], params, config, "long_seq")
     for window in (state.st, state.lt):
         window.emb = window.emb.astype(np.float64, copy=False)
     state.lt_kv = None
     state.item_fps = item_fps
     state.long_fps = _long_key_bits(state.lt, params, config, item_fps)
-    target = np.take(params.item_emb, t_items, axis=0)
-    target += np.take(params.cat_emb, t_cats, axis=0)
+    target = _item_vectors(t_items, t_cats, params)
     return state, ids, target.astype(np.float64, copy=False)
 
 
@@ -712,8 +717,8 @@ def fingerprint_items(params: ModelParams, config: ModelConfig, item_cats: np.nd
     family = params.family
     words = np.empty((cats.size, family.words), dtype=np.uint64)
     for start in range(0, cats.size, _TABLE_BLOCK_ROWS):
-        rows = slice(start, start + _TABLE_BLOCK_ROWS)
-        vecs = params.item_emb[rows] + np.take(params.cat_emb, cats[rows], axis=0)
+        rows = np.arange(start, min(start + _TABLE_BLOCK_ROWS, cats.size))
+        vecs = _item_vectors(rows, cats[rows], params)
         if start == 0:
             vecs[0] = 0.0
         words[rows] = fingerprint_batch(vecs, family).words
@@ -734,8 +739,7 @@ def verify_item_fingerprints(table: FingerprintTable, params: ModelParams,
         )
     cats = _item_categories(item_cats, config)
     probe = np.unique(np.linspace(1, config.n_items, num=min(64, config.n_items), dtype=np.int64))
-    vecs = params.item_emb[probe] + params.cat_emb[cats[probe]]
-    fresh = fingerprint_batch(vecs, params.family)
+    fresh = fingerprint_batch(_item_vectors(probe, cats[probe], params), params.family)
     if not np.array_equal(fresh.words, table.words[probe]):
         raise FormatError("fingerprint table does not match current weights (stale seed or embeddings)")
 
@@ -748,12 +752,10 @@ def verify_item_fingerprints(table: FingerprintTable, params: ModelParams,
 class Request:
     """One user state to score candidates against.
 
-    Windows take the same forms as a Sample's: an (n, 3) integer array of
-    (item, category, ts) rows, whose columns are read as they are, or a
-    sequence of such row tuples of integers, read into int64.  A float
-    array, a float or a value past int64 in a tuple row, and a window of any
-    other shape are refused with a ValueError, as is a float id among the
-    candidates.  Requests compare and hash by identity."""
+    Windows take the same forms as a Sample's, and the candidates scored
+    against a request likewise: an (n, 2) integer array of (item,
+    category) pairs, read as it is, or any other sequence of pairs, read
+    row by row and refused alike.  Requests compare and hash by identity."""
 
     user_id: int
     context_bucket: int
@@ -785,8 +787,7 @@ def _long_key_bits(lt: _SeqData, params: ModelParams, config: ModelConfig,
         return item_fps.take(lt.items)
     width = config.n_categories + 1  # below 2**63 (_check_vocab)
     distinct, inverse = np.unique((lt.items * width + lt.cats).ravel(), return_inverse=True)
-    rows = np.take(params.item_emb, distinct // width, axis=0)
-    rows += np.take(params.cat_emb, distinct % width, axis=0)
+    rows = _item_vectors(distinct // width, distinct % width, params)
     fam = params.family
     # np.take, not words[inverse]: 44 against 159 us for 33k (n, 1) rows
     # (m=32, two rounds) on a 2-vCPU x86_64 host
@@ -833,16 +834,13 @@ def prepare_request(request: Request, params: ModelParams, config: ModelConfig,
 
 
 def candidate_embeddings(candidates, params: ModelParams, config: ModelConfig):
-    """(items, categories, base embeddings) for a list of (item, category)."""
-    n = len(candidates)
-    items, cats = _int_rows(candidates, 2, "candidates hold").T
-    if n and (items.min() < 1 or items.max() > config.n_items):
+    """(items, categories, base embeddings) of (item, category) pairs."""
+    items, cats = _rows(candidates, 2, "candidates").T
+    if items.size and (items.min() < 1 or items.max() > config.n_items):
         raise ValueError(f"candidate item id outside [1, {config.n_items}]")
-    if n and (cats.min() < 1 or cats.max() > config.n_categories):
+    if items.size and (cats.min() < 1 or cats.max() > config.n_categories):
         raise ValueError(f"candidate category id outside [1, {config.n_categories}]")
-    emb = np.take(params.item_emb, items, axis=0)
-    emb += np.take(params.cat_emb, cats, axis=0)
-    return items, cats, emb
+    return items, cats, _item_vectors(items, cats, params)
 
 
 def _retrieve(state: RequestState, cand_items: np.ndarray, cand_emb: np.ndarray,

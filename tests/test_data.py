@@ -92,6 +92,7 @@ def test_blank_lines_and_rare_garbage_tolerated(tmp_path):
         "1,2,3,swim,100",  # unknown behavior
         "1,2,3,pv,0",  # non-positive timestamp
         "1,2,3,pv,-5",
+        "1,2,3,pv,9223372036854775808",  # past int64
     ],
 )
 def test_malformed_rows_over_threshold_fail_with_line_number(tmp_path, bad):
@@ -100,6 +101,22 @@ def test_malformed_rows_over_threshold_fail_with_line_number(tmp_path, bad):
     with pytest.raises(FormatError) as err:
         load_behavior_log(path)
     assert "line 2" in str(err.value)
+
+
+def test_a_timestamp_past_int64_is_malformed(tmp_path):
+    # only the per-line path reads such a field; loaded as good, it would turn
+    # the timestamp column and every window into object arrays
+    events, _ = generate_synthetic(SyntheticSpec(n_users=20, n_items=60, n_categories=4,
+                                                 events_per_user=20, seed=6))
+    path = tmp_path / "log.csv"
+    write_behavior_log(path, events)
+    with open(path, "a") as fh:
+        fh.write("1,5,5,pv,100000000000000000000\n")
+    log = load_behavior_log(path)
+    assert (log.n_rows, log.n_malformed) == (len(events) + 1, 1)
+    assert log.events_by_user.timestamp.dtype == np.int64
+    ss = build_samples(log.events_by_user, 4, 10, 1, build_category_index(log), 0)
+    assert all(s.long_seq.dtype == np.int64 for s in ss)
 
 
 def test_id_maps_file(tmp_path):
@@ -373,7 +390,7 @@ def _oracle_parse_line(line):
     except ValueError:
         return None
     btype = BEHAVIOR_TOKENS.get(parts[3].strip())
-    if btype is None or ts <= 0:
+    if btype is None or not 0 < ts < 2**63:
         return None
     return user, item, cat, btype, ts
 
@@ -497,8 +514,8 @@ _IDS = (["1", "2", "3", "07", "12", "1234567890123456789"],
 _FIELDS = [_IDS, _IDS, _IDS,
            (["pv", "fav", "cart", "buy"], [" pv", "buy\t"], ["pvx", "favs", "carts", "buyer", "swim", "PV", "", "ca"]),
            (["100", "200", "200", "300", "0100"],
-            ["+150", "2_00", "٣٠٠", " 250 ", "99999999999999999999"],
-            ["0", "-5", "000", "abc", "1.5"])]
+            ["+150", "2_00", "٣٠٠", " 250 ", "9223372036854775807"],
+            ["0", "-5", "000", "abc", "1.5", "9223372036854775808", "99999999999999999999"])]
 
 
 def _field(k):

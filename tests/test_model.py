@@ -185,6 +185,31 @@ def test_predict_request_refuses_non_integer_ids():
         predict_request(replace(req, user_id=2), cands, params, config))
 
 
+def test_rows_of_the_wrong_width_are_refused():
+    # ragged rows whose value count is a multiple of the width would score as
+    # the re-split rows [(1, 2), (3, 4)] if read as one flat run of values
+    config = tiny_config(use_time_buckets=True)
+    params = init_params(config)
+    good = mk_sample(np.random.default_rng(2), n_long=6)
+    req = request_from_sample(good)
+    cands = [(1, 1), (2, 2)]
+    for bad in ([(1, 2, 3), (4,)], [(1, 2), (3, 4, 5), (6,)], [(1, 2), 3]):
+        with pytest.raises(ValueError, match=r"^candidates row \d+ is not 2 values$"):
+            predict_request(req, bad, params, config)
+    ts = BASE_TS - 3600
+    for field in ("long_seq", "short_seq"):
+        rows = getattr(good, field)
+        for bad in (rows[:-2] + ((1, 2, ts, 4), (5, ts)), rows[:-1] + ((1, 1, ts, 0),),
+                    ((1, 1),) + rows[1:], rows[:-1] + (7,)):
+            match = rf"^{field} row \d+ is not 3 values$"
+            with pytest.raises(ValueError, match=match):
+                predict_request(replace(req, **{field: bad}), cands, params, config)
+            with pytest.raises(ValueError, match=match):
+                forward(replace(good, **{field: bad}), params, config)
+            with pytest.raises(ValueError, match=match):
+                loss_and_gradients([good, replace(good, **{field: bad})], params, config)
+
+
 def test_empty_long_window_is_fine_everywhere():
     rng = np.random.default_rng(3)
     s = mk_sample(rng, n_long=0)
@@ -829,14 +854,15 @@ def test_array_windows_score_bit_identically_to_tuple_windows(variant, table, ex
     cands = [(int(i), cat_of(int(i))) for i in rng.integers(1, 31, size=9)]
     for n_long, n_pad in ((6, 2), (8, 0), (3, 5), (0, 0)):
         tupled = mk_sample(rng, n_long=n_long, n_pad_long=n_pad)
+        want = predict_request(request_from_sample(tupled), cands, params, config, item_fps)
         for arrayed in (with_array_windows(tupled), with_array_windows(tupled, np.int32)):
             assert record_value(arrayed) == record_value(tupled)
             assert (forward(arrayed, params, config, item_fps)
                     == forward(tupled, params, config, item_fps))
-            np.testing.assert_array_equal(
-                predict_request(request_from_sample(arrayed), cands, params, config, item_fps),
-                predict_request(request_from_sample(tupled), cands, params, config, item_fps),
-            )
+            for cand_form in (cands, np.array(cands, dtype=np.int64)):
+                np.testing.assert_array_equal(
+                    predict_request(request_from_sample(arrayed), cand_form, params, config,
+                                    item_fps), want)
 
 
 def test_window_arrays_are_checked_like_tuple_windows():
@@ -858,6 +884,52 @@ def test_window_arrays_are_checked_like_tuple_windows():
             score(replace(good, long_seq=rows + np.array([31, 0, 0])))
         with pytest.raises(ValueError, match=r"^short_seq category id outside \[0, 5\]$"):
             score(replace(good, short_seq=good.short_seq + np.array([0, 5, 0])))
+    # candidate arrays take the same check, at width 2
+    pairs = np.array([(1, 1), (2, 2)])
+    req = request_from_sample(good)
+    for bad in (rows, pairs.astype(np.float64), pairs.astype(bool), pairs.astype(np.uint64),
+                pairs.reshape(-1), pairs[:, :, None]):
+        with pytest.raises(ValueError, match=r"^candidates array must be \(n, 2\) integers"):
+            predict_request(req, bad, params, config)
+
+
+@st.composite
+def integer_rows(draw):
+    """(width, rows of int64 values, a position in them)."""
+    width = draw(st.sampled_from([2, 3]))
+    value = st.integers(-(2**31), 2**31 - 1) | st.integers(-(2**63), 2**63 - 1)
+    rows = draw(st.lists(st.lists(value, min_size=width, max_size=width), max_size=8))
+    at = (draw(st.integers(0, max(len(rows) - 1, 0))), draw(st.integers(0, width - 1)))
+    return width, rows, at
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_rows())
+@example((3, [], (0, 0)))
+@example((2, [[2**63 - 1, -(2**63)]], (0, 1)))
+def test_rows_read_integer_rows_as_numpy_does(drawn):
+    width, rows, (i, j) = drawn
+    want = np.array(rows, dtype=np.int64).reshape(-1, width)
+    forms = [tuple(map(tuple, rows)), rows, want, np.array(rows, dtype=object)]
+    if np.array_equal(want.astype(np.int32), want):
+        forms.append(want.astype(np.int32))
+    for form in forms:
+        got = model._rows(form, width, "long_seq")
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want, strict=True)
+    if not rows:
+        return
+    # one float or past-int64 value anywhere keeps its message
+    for bad, reason in ((rows[i][j] + 0.5, "is not an integer"),
+                        (np.float64(1.0), "is not an integer"),
+                        (2**63, "does not fit in int64"),
+                        (-(2**63) - 1, "does not fit in int64")):
+        broken = [list(r) for r in rows]
+        broken[i][j] = bad
+        for name, verb in (("long_seq", "holds"), ("short_seq", "holds"), ("candidates", "hold")):
+            for form in (tuple(map(tuple, broken)), np.array(broken, dtype=object)):
+                with pytest.raises(ValueError, match=rf"^{name} {verb} a value that {reason}$"):
+                    model._rows(form, width, name)
 
 
 def test_ids_past_int64_are_refused_with_a_value_error():
