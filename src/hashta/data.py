@@ -110,6 +110,8 @@ class UserEvents(Mapping):
         _, item, category, behavior, ts = _event_columns(
             [e for u in users for e in sequences[u]]
         )
+        if (behavior < 0).any():
+            raise ValueError(f"unknown behavior type in events, expected one of {_TYPE_NAMES}")
         return cls(users, offsets, item, category, behavior, ts)
 
     def __getitem__(self, user):
@@ -196,13 +198,29 @@ def _id_column(values) -> np.ndarray:
 
 
 def _event_columns(events):
+    """(user, item, category, behavior kind, timestamp) columns of events,
+    kind -1 where the behavior type is unknown."""
     return (
         _id_column([e.user_id for e in events]),
         _id_column([e.item_id for e in events]),
         _id_column([e.category_id for e in events]),
-        np.array([_KIND_OF[e.behavior_type] for e in events], dtype=np.int8),
+        np.array([_KIND_OF.get(e.behavior_type, -1) for e in events], dtype=np.int8),
         _id_column([e.timestamp for e in events]),
     )
+
+
+def _good_rows(kind, ts) -> np.ndarray:
+    """The loader's row rules on columns: a known behavior kind and a
+    timestamp in 1 .. 2**63 - 1 (an object column holds any past int64)."""
+    return np.asarray((kind >= 0) & (ts > 0) & (ts < 2**63), dtype=bool)
+
+
+def _check_malformed(bad, n_rows: int, unit: str) -> None:
+    """The loader's 1% rule: more than 1% of n_rows malformed is a
+    FormatError naming the first bad row, bad holding 0-based indices."""
+    if n_rows > 0 and len(bad) / n_rows > 0.01:
+        raise FormatError(
+            f"{len(bad)} of {n_rows} rows malformed (>1%), first at {unit} {bad[0] + 1}")
 
 
 _TYPE_NAMES = np.array(list(BEHAVIOR_TOKENS.values()))
@@ -285,7 +303,7 @@ def _parse_block(data: bytes, pos: int, end: int, line0: int):
     )
     user, item, cat, ts = value.reshape(4, -1)
     kind = _token_kinds(buf, cut[2] + 1, cut[3])
-    good = ok.reshape(4, -1).all(axis=0) & (kind >= 0) & (ts > 0)
+    good = ok.reshape(4, -1).all(axis=0) & _good_rows(kind, ts)
 
     # blank lines are skipped and not counted; a block ending in a newline
     # has an empty last line, so lines are counted by newlines
@@ -323,10 +341,7 @@ def _parse_log(text: str):
         else:
             rows.append((j, *parsed))
     n_rows = strict_lines.size + len(rows) + len(bad)
-    if n_rows > 0 and len(bad) / n_rows > 0.01:
-        raise FormatError(
-            f"{len(bad)} of {n_rows} rows malformed (>1%), first at line {bad[0] + 1}"
-        )
+    _check_malformed(bad, n_rows, "line")
 
     if rows:  # merge the rows parsed one at a time back into file order
         line_of, users, items, cats, types, stamps = zip(*rows)
@@ -412,8 +427,15 @@ def load_behavior_log(path) -> BehaviorLog:
 
 
 def log_from_events(events) -> BehaviorLog:
-    """Index in-memory events exactly as load_behavior_log would from disk."""
-    return _index_log(*_event_columns(events), len(events), 0)
+    """Index in-memory events by load_behavior_log's row rules: an event
+    whose behavior type is unknown or whose timestamp lies outside
+    1 .. 2**63 - 1 is malformed, counted and left out, and more than 1%
+    malformed is a FormatError naming the first (1-based)."""
+    *cols, ts = _event_columns(events)
+    good = _good_rows(cols[3], ts)
+    bad = np.flatnonzero(~good)
+    _check_malformed(bad, len(events), "event")
+    return _index_log(*(c[good] for c in cols), ts[good].astype(np.int64), len(events), bad.size)
 
 
 def write_behavior_log(path, events) -> None:

@@ -72,6 +72,30 @@ def test_log_from_events_matches_file_load(tmp_path):
     assert a.events_by_user == b.events_by_user
 
 
+def test_log_from_events_applies_the_loaders_row_rules(tmp_path):
+    # a timestamp past int64 or not positive, and a file token ("pv") where
+    # a behavior type ("click") belongs, are malformed as their lines are
+    past, zero, token = ev(1, 7, 1, 2**70), ev(1, 8, 1, 0), ev(1, 9, 1, 10, "pv")
+    with pytest.raises(FormatError, match=r"^2 of 3 rows malformed \(>1%\), first at event 1$"):
+        log_from_events([past, zero, ev(1, 9, 1, 5)])
+    with pytest.raises(FormatError, match=r"^1 of 2 rows malformed \(>1%\), first at event 2$"):
+        log_from_events([ev(1, 9, 1, 5), token])
+    good = [ev(1 + i % 7, 10 + i, 1 + i % 3, 1000 + i) for i in range(300)]
+    events = good[:100] + [past, zero, token] + good[100:]
+    log = log_from_events(events)
+    assert (log.n_rows, log.n_malformed) == (303, 3)
+    assert log.events_by_user.timestamp.dtype == np.int64
+    path = tmp_path / "log.csv"
+    write_behavior_log(path, good)
+    lines = path.read_text().splitlines()
+    lines[100:100] = [f"1,7,1,pv,{2**70}", "1,8,1,pv,0", "1,9,1,click,10"]
+    path.write_text("\n".join(lines) + "\n")
+    loaded = load_behavior_log(path)
+    assert (loaded.n_rows, loaded.n_malformed) == (log.n_rows, log.n_malformed)
+    assert loaded.item_map == log.item_map
+    assert loaded.events_by_user == log.events_by_user
+
+
 def test_blank_lines_and_rare_garbage_tolerated(tmp_path):
     path = tmp_path / "log.csv"
     lines = [f"1,{i},1,pv,{1000 + i}" for i in range(1, 200)]

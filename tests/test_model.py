@@ -600,8 +600,9 @@ def test_adam_step_matches_the_per_tensor_oracle(weights, tmp_path):
             np.testing.assert_array_equal(got["v"][name], want_state["v"][name], err_msg=name)
 
 
-def test_training_is_bitwise_reproducible():
-    config = tiny_config(variant="POOLING", epochs=2, batch_size=8)
+@pytest.mark.parametrize("variant", ["POOLING", "ETA", "FULL_TA"])
+def test_training_is_bitwise_reproducible(variant):
+    config = tiny_config(variant=variant, epochs=2, batch_size=8)
     data = toy_dataset(48, seed=20)
     val = toy_dataset(16, seed=21)
     a = train(data, val, config)
