@@ -273,6 +273,7 @@ def cmd_precompute(args) -> int:
                 "items": len(table),
                 "rounds": table.rounds,
                 "bits_per_round": table.bits_per_round,
+                "log": _log_stats(log),
             }
         )
     )
@@ -280,7 +281,7 @@ def cmd_precompute(args) -> int:
 
 
 def cmd_retrieve(args) -> int:
-    params, config, _, samples, item_fps = _load_for_scoring(args, _read_config(args.config))
+    params, config, log, samples, item_fps = _load_for_scoring(args, _read_config(args.config))
     if args.k is not None:
         config = replace(config, k=args.k)
     pool = samples.test or samples.val or samples.train
@@ -303,6 +304,7 @@ def cmd_retrieve(args) -> int:
             "scores": np.asarray(top.scores).tolist(),
             "items": picked[:, 0].tolist(),
             "categories": picked[:, 1].tolist(),
+            "log": _log_stats(log),
         }
     )
     return 0

@@ -6,10 +6,12 @@ as click / favorite / cart / purchase); a leading byte-order mark is
 dropped.  Raw ids are remapped to dense 1-based integers in
 first-appearance order at load time (0 is reserved for padding); the
 mapping is kept on the loaded log and can be persisted next to derived
-datasets.  An int64 id column whose span (max - min + 1) is at most twice
-its row count is remapped through a span-long table of each id's first
-row, so only the distinct ids are sorted; an object column (ids beyond
-int64) or a wider span is argsorted whole.  Malformed rows are counted
+datasets.  Each item is bound to the category of its first row: a later
+row that lists it under another is read as that one and counted in
+``n_recategorized``.  An int64 id column whose span (max - min + 1) is at
+most twice its row count is remapped through a span-long table of each
+id's first row, so only the distinct ids are sorted; an object column (ids
+beyond int64) or a wider span is argsorted whole.  Malformed rows are counted
 and tolerated up to 1% of the file, beyond which loading fails and names
 the first bad line.
 
@@ -134,16 +136,17 @@ class UserEvents(Mapping):
 
 @dataclass
 class BehaviorLog:
-    """Parsed log with dense ids.  events_by_user lists are chronological."""
+    """Parsed log with dense ids.  events_by_user lists are chronological,
+    and each of their rows carries its item's category as item_cats binds it."""
 
     events_by_user: UserEvents
     user_map: dict  # raw -> dense
     item_map: dict
     category_map: dict
-    item_category: dict  # dense item -> dense category (first seen)
+    item_cats: np.ndarray  # (n_items + 1,) read-only: dense item -> first-seen category
     n_rows: int = 0
     n_malformed: int = 0
-    n_recategorized: int = 0  # rows whose category is not their item's first-seen one
+    n_recategorized: int = 0  # rows listed under a category other than their item's bound one
 
     @property
     def n_users(self) -> int:
@@ -158,20 +161,9 @@ class BehaviorLog:
         return len(self.category_map)
 
     def item_categories(self) -> np.ndarray:
-        """(n_items + 1,) int64 category of each dense item, 0 for the
-        padding row: the item -> category array a fingerprint table is built
-        and verified from.  A log with re-categorised rows is refused, since
-        a table hashes each item with its first-seen category only."""
-        if self.n_recategorized:
-            raise FormatError(
-                f"{self.n_recategorized} rows of the log list an item under a category other"
-                " than its first-seen one; a fingerprint table hashes each item with its"
-                " first-seen category, so table scoring would not match live hashing on"
-                " those rows (score without --fingerprints)"
-            )
-        cats = np.zeros(self.n_items + 1, dtype=np.int64)
-        cats[list(self.item_category)] = list(self.item_category.values())
-        return cats
+        """The item -> category binding, 0 for the padding row: the array a
+        fingerprint table is built and verified from."""
+        return self.item_cats
 
 
 def _parse_line(line: str):
@@ -395,27 +387,27 @@ def _dense_ids_by_table(raw, lo: int, span: int):
 
 
 def _index_log(user, item, category, behavior, ts, n_rows, n_malformed) -> BehaviorLog:
-    """Dense ids, each item's category from its first row, and the rows
-    sorted by (user, timestamp) with ties in row order."""
+    """Dense ids, every row bound to its item's category from the item's
+    first row, and the rows sorted by (user, timestamp) with ties in row
+    order."""
     u, user_map, _ = _dense_ids(user)
     i, item_map, first_row = _dense_ids(item)
     c, category_map, _ = _dense_ids(category)
-    first_cat = np.zeros(len(item_map) + 1, dtype=np.int64)
-    first_cat[1:] = c[first_row]
-    n_recategorized = int(np.count_nonzero(c != first_cat[i]))
+    item_cats = np.zeros(len(item_map) + 1, dtype=np.int64)
+    item_cats[1:] = c[first_row]
+    item_cats.flags.writeable = False
+    bound = item_cats[i]
+    n_recategorized = int(np.count_nonzero(c != bound))
     step = np.diff(u)
     if not np.all((step > 0) | (step == 0) & (ts[1:] >= ts[:-1])):
         # rows not already in (user, timestamp) order: stable sort
         order = np.lexsort((ts, u))
-        i, c, behavior, ts = i[order], c[order], behavior[order], ts[order]
+        i, bound, behavior, ts = i[order], bound[order], behavior[order], ts[order]
     offsets = np.zeros(len(user_map) + 1, dtype=np.int64)
     np.cumsum(np.bincount(u, minlength=len(user_map) + 1)[1:], out=offsets[1:])
-    events = UserEvents(range(1, len(user_map) + 1), offsets, i, c, behavior, ts)
-    return BehaviorLog(
-        events, user_map, item_map, category_map,
-        dict(zip(range(1, len(item_map) + 1), first_cat[1:].tolist())),
-        n_rows, n_malformed, n_recategorized,
-    )
+    events = UserEvents(range(1, len(user_map) + 1), offsets, i, bound, behavior, ts)
+    return BehaviorLog(events, user_map, item_map, category_map, item_cats,
+                       n_rows, n_malformed, n_recategorized)
 
 
 def load_behavior_log(path) -> BehaviorLog:
@@ -448,25 +440,24 @@ def write_behavior_log(path, events) -> None:
 
 def save_id_maps(path, log: BehaviorLog) -> None:
     """Persist the raw-to-dense id mapping next to a derived dataset."""
+    cats = log.item_categories().tolist()
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(
             {
                 "users": {str(k): v for k, v in log.user_map.items()},
                 "items": {str(k): v for k, v in log.item_map.items()},
                 "categories": {str(k): v for k, v in log.category_map.items()},
-                "item_category": {str(k): v for k, v in log.item_category.items()},
+                "item_category": {str(k): cats[k] for k in range(1, len(cats))},
             },
             fh,
         )
 
 
 def build_category_index(log: BehaviorLog) -> dict:
-    """Dense category -> sorted list of dense items in it."""
+    """Dense category -> sorted list of the dense items bound to it."""
     index: dict = {}
-    for item, cat in log.item_category.items():
+    for item, cat in enumerate(log.item_categories().tolist()[1:], start=1):
         index.setdefault(cat, []).append(item)
-    for cat in index:
-        index[cat].sort()
     return index
 
 

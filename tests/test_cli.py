@@ -8,12 +8,16 @@ from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hashta.cli import _model_config, _negatives, _read_config, _synthetic_spec, build_parser, main
-from hashta.data import SyntheticSpec, load_behavior_log
+from hashta.data import SyntheticSpec, build_category_index, build_samples, load_behavior_log
 from hashta.fingerprint import load_table
-from hashta.model import ModelConfig
+from hashta.model import (
+    ModelConfig, evaluate, load_checkpoint, predict_request, verify_item_fingerprints,
+)
+from oracles import request_from_sample
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -118,12 +122,13 @@ def test_eval_matches_train_and_writes_report(workdir, capsys):
 
 def test_precompute_then_eval_is_identical(workdir, capsys):
     table_path = workdir["root"] / "items.etaf"
-    code = main([
+    code, payload = run_json(capsys, [
         "precompute", "--checkpoint", str(workdir["ckpt"]),
         "--data", str(workdir["log"]), "--out", str(table_path),
     ])
-    capsys.readouterr()
     assert code == 0
+    assert payload["items"] == 61
+    assert payload["log"] == {"n_rows": 40 * 30, "n_malformed": 0, "n_recategorized": 0}
     table = load_table(table_path)
     assert table.bits_per_round == 8 and table.rounds == 2
 
@@ -148,6 +153,7 @@ def test_retrieve_prints_selection(workdir, capsys):
     assert len(payload["items"]) == len(payload["positions"])
     assert all(0 <= p < payload["long_length"] for p in payload["positions"])
     assert payload["n_valid"] <= payload["long_length"]
+    assert payload["log"] == {"n_rows": 40 * 30, "n_malformed": 0, "n_recategorized": 0}
 
 
 def test_retrieve_reports_the_picked_rows_of_the_log(workdir, capsys):
@@ -200,38 +206,57 @@ def test_eval_rejects_mismatched_data(workdir, tmp_path, capsys):
     assert "vocabulary" in capsys.readouterr().err
 
 
-def test_fingerprints_refused_on_recategorized_rows(workdir, tmp_path, capsys):
+def test_a_recategorized_log_is_table_scored_as_live_hashing(workdir, tmp_path, capsys):
     # move the last row of a repeated item to another known category: the
-    # vocabulary still matches the checkpoint, and one row is re-categorised
+    # vocabulary still matches the checkpoint, one row is re-categorised,
+    # and that row reads its item's first-seen category
     lines = workdir["log"].read_text().splitlines()
     rows = [line.split(",") for line in lines]
     counts = Counter(row[1] for row in rows)
     last = max(n for n, row in enumerate(rows) if counts[row[1]] > 1)
-    rows[last][2] = next(row[2] for row in rows if row[2] != rows[last][2])
+    first_seen = next(row[2] for row in rows if row[1] == rows[last][1])
+    rows[last][2] = next(row[2] for row in rows if row[2] != first_seen)
     log = tmp_path / "recategorized.csv"
     log.write_text("\n".join(",".join(row) for row in rows) + "\n")
     table = tmp_path / "items.etaf"
-    assert main([
-        "precompute", "--checkpoint", str(workdir["ckpt"]),
-        "--data", str(workdir["log"]), "--out", str(table),
-    ]) == 0
-    capsys.readouterr()
+    code, payload = run_json(capsys, ["precompute", "--checkpoint", str(workdir["ckpt"]),
+                                      "--data", str(log), "--out", str(table)])
+    assert code == 0 and table.exists()
+    assert payload["log"]["n_recategorized"] == 1
     common = ["--config", str(workdir["config"]), "--checkpoint", str(workdir["ckpt"]),
               "--data", str(log)]
-    for command in ("eval", "retrieve"):
-        assert main([command, *common, "--fingerprints", str(table)]) == 1
-        err = capsys.readouterr().err
-        assert "1 rows of the log list an item under a category other than its first-seen" in err
-        assert "table scoring would not match live hashing" in err
-    # precompute refuses the log too, rather than write a table eval and retrieve refuse
-    refused = tmp_path / "refused.etaf"
-    assert main(["precompute", "--checkpoint", str(workdir["ckpt"]), "--data", str(log),
-                 "--out", str(refused)]) == 1
-    assert "table scoring would not match live hashing" in capsys.readouterr().err
-    assert not refused.exists()
-    code, payload = run_json(capsys, ["eval", *common])
-    assert code == 0
-    assert payload["log"]["n_recategorized"] == 1
+    _, live = run_json(capsys, ["eval", *common])
+    _, tabled = run_json(capsys, ["eval", *common, "--fingerprints", str(table)])
+    assert live["log"]["n_recategorized"] == tabled["log"]["n_recategorized"] == 1
+    assert tabled["test_auc"] == live["test_auc"]
+    for sample in range(live["test_samples"]):
+        retrieve = ["retrieve", *common, "--sample", str(sample)]
+        _, live_pick = run_json(capsys, retrieve)
+        _, table_pick = run_json(capsys, retrieve + ["--fingerprints", str(table)])
+        assert table_pick["positions"] == live_pick["positions"]
+        assert table_pick["log"]["n_recategorized"] == 1
+
+    # through the library: every score read through the table equals live hashing
+    params, config = load_checkpoint(workdir["ckpt"])
+    loaded = load_behavior_log(log)
+    cats = loaded.item_categories()
+    events = loaded.events_by_user
+    assert np.array_equal(events.category, cats[events.item])
+    fps = load_table(table)
+    verify_item_fingerprints(fps, params, config, cats)
+    samples = build_samples(events, config.l_st, config.l_lt, 1, build_category_index(loaded),
+                            config.seed)
+    everything = list(samples)
+    assert any(s.target_item == int(rows[last][1]) or int(rows[last][1]) in s.long_seq[:, 0]
+               for s in everything)  # the moved row's item is scored
+    np.testing.assert_array_equal(evaluate(everything, params, config, fps).scores,
+                                  evaluate(everything, params, config).scores)
+    candidates = np.stack((np.arange(1, cats.size), cats[1:]), axis=1)
+    for s in everything:
+        request = request_from_sample(s)
+        np.testing.assert_array_equal(
+            predict_request(request, candidates, params, config, fps),
+            predict_request(request, candidates, params, config))
 
 
 def test_unknown_config_key_fails_cleanly(tmp_path, capsys):

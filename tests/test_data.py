@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hashta import data
@@ -54,7 +54,7 @@ def test_log_round_trip_and_dense_remap(tmp_path):
     assert log.user_map == {7: 1, 9: 2}
     assert log.item_map == {100: 1, 200: 2, 300: 3}
     assert log.category_map == {3: 1, 4: 2}
-    assert log.item_category == {1: 1, 2: 2, 3: 1}
+    assert log.item_categories().tolist() == [0, 1, 2, 1]
     assert log.n_rows == 5 and log.n_malformed == 0
     assert (log.n_users, log.n_items, log.n_categories) == (2, 3, 2)
     # per-user chronological regardless of file order
@@ -420,7 +420,8 @@ def _oracle_parse_line(line):
 
 
 def oracle_load_behavior_log(path):
-    """One line at a time, dict remaps, per-user list sorts."""
+    """One line at a time, dict remaps, per-user list sorts; each row reads
+    its item's first-seen category."""
     user_map, item_map, cat_map, item_category = {}, {}, {}, {}
     rows = []
     n_rows = n_malformed = 0
@@ -449,12 +450,13 @@ def oracle_load_behavior_log(path):
         )
     events_by_user = {}
     for u, i, c, btype, ts in rows:
-        events_by_user.setdefault(u, []).append(BehaviorEvent(u, i, c, btype, ts))
+        events_by_user.setdefault(u, []).append(BehaviorEvent(u, i, item_category[i], btype, ts))
     for u in events_by_user:
         events_by_user[u].sort(key=lambda e: e.timestamp)
     recategorized = sum(c != item_category[i] for _, i, c, _, _ in rows)
+    item_cats = np.array([0] + [item_category[i] for i in range(1, len(item_map) + 1)])
     return BehaviorLog(
-        events_by_user, user_map, item_map, cat_map, item_category, n_rows, n_malformed,
+        events_by_user, user_map, item_map, cat_map, item_cats, n_rows, n_malformed,
         recategorized,
     )
 
@@ -513,8 +515,11 @@ def oracle_build_samples(sequences, l_st, l_lt, negatives_per_positive, category
 
 
 def assert_same_log(got, want):
-    for name in ("user_map", "item_map", "category_map", "item_category"):
+    for name in ("user_map", "item_map", "category_map"):
         assert list(getattr(got, name).items()) == list(getattr(want, name).items()), name
+    got_cats, want_cats = got.item_categories(), want.item_categories()
+    assert got_cats.dtype == np.int64 and not got_cats.flags.writeable
+    assert got_cats.tolist() == want_cats.tolist()
     assert (got.n_rows, got.n_malformed, got.n_recategorized) == (
         want.n_rows, want.n_malformed, want.n_recategorized
     )
@@ -614,6 +619,37 @@ def test_loader_matches_per_line_oracle(scratch_csv, text):
             assert_same_log(got, want)
 
 
+def _events_of(path):
+    """A log file's non-blank lines as events, in file order; a line the
+    loader counts malformed becomes an event of an unknown behavior type."""
+    with open(path, encoding="utf-8") as fh:
+        parsed = [_oracle_parse_line(line.strip()) for line in fh if line.strip()]
+    return [BehaviorEvent(*row) if row else ev(0, 0, 0, 0, "malformed") for row in parsed]
+
+
+# 120 rows that move items between categories, run backwards in time, and
+# hold one malformed row
+_MOVED_ROWS = "".join(f"{k % 4 + 1},{k % 7 + 1},{k % 5 + 1},pv,{1000 - k}\n" for k in range(60))
+_MOVED_ROWS += "1,2,x,pv,5\n" + _MOVED_ROWS.replace(",pv,", ",buy,")
+
+
+@example(text=_MOVED_ROWS)
+@settings(max_examples=200, deadline=None)
+@given(text=csv_texts())
+def test_file_loader_and_event_builder_build_the_same_log(scratch_csv, text):
+    scratch_csv.write_bytes(text.encode("utf-8"))
+    got = _load(lambda path: log_from_events(_events_of(path)), scratch_csv)
+    want = _load(load_behavior_log, scratch_csv)
+    if isinstance(want, str):
+        # the same 1% refusal, which names an event rather than a line
+        assert isinstance(got, str) and got.split(", first at")[0] == want.split(", first at")[0]
+        return
+    assert_same_log(got, want)
+    for name in ("offsets", "item", "category", "behavior", "timestamp"):
+        a, b = getattr(got.events_by_user, name), getattr(want.events_by_user, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
 def test_loader_matches_oracle_on_ordered_and_unordered_logs(tmp_path):
     # the loader keeps rows that arrive in (user, timestamp) order as they are
     # and sorts any others; the hypothesis logs above are rarely ordered
@@ -658,7 +694,9 @@ def test_recategorized_rows_are_counted(tmp_path):
     path.write_text("1,10,3,pv,100\n1,11,3,pv,200\n2,10,4,pv,150\n")
     log = load_behavior_log(path)
     assert log.n_recategorized == 1
-    assert log.item_category == {1: 1, 2: 1}
+    assert log.item_categories().tolist() == [0, 1, 1]
+    # the moved row reads item 10's first-seen category
+    assert [e.category_id for e in log.events_by_user[2]] == [1]
 
 
 def test_behavior_kinds_are_held_as_int8_codes(tmp_path):
@@ -675,15 +713,25 @@ def test_behavior_kinds_are_held_as_int8_codes(tmp_path):
             "click", "purchase", "cart", "favorite"]
 
 
-def test_item_categories_refuse_a_recategorized_log(tmp_path):
-    # the array fingerprint tables are built and verified from; a log that
-    # moves an item to another category has no one category per item
+def test_a_recategorized_log_is_bound_to_first_seen_categories(tmp_path):
+    # item 10 moves from category 3 to 4 on its second row: the row reads
+    # category 3, category 4 keeps its id, and no item is indexed under it
     path = tmp_path / "log.csv"
-    path.write_text("1,10,3,pv,100\n1,11,4,pv,200\n2,10,3,pv,150\n")
-    assert load_behavior_log(path).item_categories().tolist() == [0, 1, 2]
-    path.write_text("1,10,3,pv,100\n1,11,3,pv,200\n2,10,4,pv,150\n")
-    with pytest.raises(FormatError, match="^1 rows of the log list an item under a category other"):
-        load_behavior_log(path).item_categories()
+    path.write_text("1,10,3,pv,100\n1,11,3,pv,200\n2,10,4,pv,150\n2,12,4,pv,160\n")
+    log = load_behavior_log(path)
+    assert log.n_recategorized == 1 and log.category_map == {3: 1, 4: 2}
+    assert log.item_categories().tolist() == [0, 1, 1, 2]
+    assert log.events_by_user.category.tolist() == [1, 1, 1, 2]
+    assert build_category_index(log) == {1: [1, 2], 2: [3]}
+    ids = tmp_path / "ids.json"
+    save_id_maps(ids, log)
+    assert json.loads(ids.read_text())["item_category"] == {"1": 1, "2": 1, "3": 2}
+    # every sample carries the bound category of its target and window rows
+    ss = build_samples(log.events_by_user, 2, 2, 1, build_category_index(log), 0)
+    cats = log.item_categories()
+    for s in ss:
+        assert s.target_category == cats[s.target_item]
+        assert np.array_equal(s.long_seq[:, 1], cats[s.long_seq[:, 0]])
 
 
 def test_byte_order_mark_does_not_drop_the_first_row(tmp_path):
@@ -770,7 +818,7 @@ def test_loading_is_unchanged_by_a_one_to_one_relabelling(tmp_path, monkeypatch,
     assert got.events_by_user.users == base.events_by_user.users
     assert (got.n_rows, got.n_malformed, got.n_recategorized) == (
         base.n_rows, base.n_malformed, base.n_recategorized)
-    assert got.item_category == base.item_category
+    assert np.array_equal(got.item_categories(), base.item_categories())
     for name, field in (("user_map", "user_id"), ("item_map", "item_id"),
                         ("category_map", "category_id")):
         want = [(maps[field][raw], dense) for raw, dense in getattr(base, name).items()]
